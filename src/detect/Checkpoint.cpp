@@ -72,7 +72,8 @@ int64_t CheckpointStore::loadLatest(std::string &Payload,
   if (!std::getline(In, Header))
     return -1;
   std::vector<std::string_view> Parts = split(trim(Header), ' ');
-  if (Parts.size() != 3 || Parts[0] != "rvpckpt" || Parts[1] != "1")
+  if (Parts.size() != 3 || Parts[0] != "rvpckpt" ||
+      Parts[1] != std::to_string(CheckpointVersion))
     return -1; // unknown format/version: start from scratch
   std::string Stamp =
       formatString("%016llx", static_cast<unsigned long long>(Fingerprint));
@@ -111,7 +112,7 @@ bool CheckpointStore::save(uint64_t Index, const std::string &Payload) const {
                                std::ios::trunc);
     if (!Out)
       return false;
-    Out << formatString("rvpckpt 1 %016llx\n",
+    Out << formatString("rvpckpt %u %016llx\n", CheckpointVersion,
                         static_cast<unsigned long long>(Fingerprint))
         << Payload;
     Out.flush();

@@ -18,15 +18,15 @@
 ///   window-<K>.ckpt     cumulative driver state after window K, written
 ///                       tmp+rename so a crash never leaves a torn file
 ///
-/// Every file opens with `rvpckpt 1 <fingerprint>`; the fingerprint hashes
-/// the trace contents and the detection-relevant flags, so a checkpoint
-/// directory can never resume a different analysis. Snapshots with the
-/// wrong fingerprint or version are ignored (the run starts from scratch
-/// and overwrites them).
+/// Every file opens with `rvpckpt <version> <fingerprint>`; the
+/// fingerprint hashes the trace contents and the detection-relevant flags,
+/// so a checkpoint directory can never resume a different analysis.
+/// Snapshots with the wrong fingerprint or version are ignored (the run
+/// starts from scratch and overwrites them).
 ///
-/// The payload format is owned by each driver (serialize/restore pairs in
-/// Detect.cpp, Atomicity.cpp, Deadlock.cpp); this class only handles
-/// framing, atomicity, and discovery.
+/// The payload format is owned by the window driver's codec
+/// (detect/WindowDriver.cpp); this class only handles framing, atomicity,
+/// and discovery.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +39,10 @@
 
 namespace rvp {
 
+/// The header version; bumped whenever the payload layout changes. Version
+/// 2 is the shared window-driver codec.
+constexpr unsigned CheckpointVersion = 2;
+
 /// FNV-1a over \p Data folded into \p Seed — the fingerprint hash (stable
 /// across platforms and runs, unlike std::hash).
 uint64_t checkpointHash(std::string_view Data, uint64_t Seed = 0xcbf29ce484222325ULL);
@@ -48,7 +52,7 @@ uint64_t checkpointHash(std::string_view Data, uint64_t Seed = 0xcbf29ce48422232
 /// by a *different* analysis (other trace or flags): resuming over it
 /// would silently reanalyze and then overwrite someone else's snapshots,
 /// so the drivers refuse with a usage error instead (docs/ROBUSTNESS.md).
-/// Stale-version files (a pre-`rvpckpt 1` build) still count as None —
+/// Stale-version files (another CheckpointVersion) still count as None —
 /// overwriting an obsolete format is the upgrade path, not an error.
 enum class CheckpointLoad : uint8_t { None, Loaded, FingerprintMismatch };
 

@@ -15,7 +15,8 @@
 ///  * Technique::Maximal — this paper: control-flow abstraction + minimal
 ///                         feasibility constraints; sound and maximal.
 ///
-/// All techniques share the driver: fixed-size windows (Section 4), COP
+/// All techniques share the window driver (detect/WindowDriver.h) with the
+/// atomicity and deadlock properties: fixed-size windows (Section 4), COP
 /// enumeration, the hybrid quick-check filter and race-signature pruning
 /// for the SMT-based ones, and per-COP solving budgets.
 ///
@@ -125,12 +126,14 @@ struct DetectorOptions {
   /// legacy fresh-solver-per-COP path; with Jobs > 1 each worker keeps its
   /// own session. Each query still gets its own fresh per-COP Deadline.
   bool Incremental = true;
-  /// Worker threads for the per-COP encode+solve loop of the SMT
-  /// techniques. 1 (the default) runs the exact sequential code path; 0
-  /// means one worker per hardware thread. Race reports are identical for
-  /// every value — parallel windows pre-filter sequentially, solve
-  /// independently, then collect results in COP order (see
-  /// docs/OBSERVABILITY.md).
+  /// Worker threads that pre-solve the candidates of the window driver's
+  /// COP loop (SMT race techniques, atomicity, deadlock); 0 means one
+  /// worker per hardware thread. 1 (the default) runs no pool: the loop's
+  /// ordered collection solves every candidate on demand, after its
+  /// signature check, so nothing is solved speculatively. Reports are
+  /// identical for every value — the loop pre-filters sequentially, solves
+  /// the survivors independently, then collects results in candidate
+  /// order (see docs/OBSERVABILITY.md).
   uint32_t Jobs = 1;
   /// Escalating per-attempt solver budgets (`--retry-budgets`, parsed by
   /// parseBudgetList): an Unknown answer is retried at the next budget

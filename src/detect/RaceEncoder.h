@@ -110,6 +110,7 @@ public:
                        EncoderOptions Options = EncoderOptions());
 
   const WindowEncoding &windowEncoding() const { return *Enc; }
+  const EncoderOptions &options() const { return Options; }
   std::shared_ptr<const WindowEncoding> sharedWindowEncoding() const {
     return Enc;
   }

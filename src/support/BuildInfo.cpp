@@ -20,7 +20,9 @@ std::string rvp::isoTimestampUtc() {
   std::time_t Now = std::time(nullptr);
   std::tm Utc{};
   gmtime_r(&Now, &Utc);
-  char Buf[32];
+  // Sized for six full-range ints (11 characters each) and the
+  // separators, so no field value can truncate the stamp.
+  char Buf[80];
   std::snprintf(Buf, sizeof(Buf), "%04d-%02d-%02dT%02d:%02d:%02dZ",
                 Utc.tm_year + 1900, Utc.tm_mon + 1, Utc.tm_mday, Utc.tm_hour,
                 Utc.tm_min, Utc.tm_sec);

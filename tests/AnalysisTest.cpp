@@ -81,8 +81,9 @@ TEST(Cfg, BranchHasTwoSuccessors) {
   Cfg G(threadNamed(P, "t"));
   EXPECT_EQ(countKind(G, CfgNode::Kind::Branch), 1u);
   for (const CfgNode &N : G.nodes())
-    if (N.K == CfgNode::Kind::Branch)
+    if (N.K == CfgNode::Kind::Branch) {
       EXPECT_EQ(N.Succs.size(), 2u);
+    }
   // Both arms converge on the final statement; everything is reachable.
   EXPECT_TRUE(G.unreachableNodes().empty());
 }
@@ -242,8 +243,9 @@ TEST(StaticLockset, MayCountSaturatesInLoop) {
   StaticLocksetAnalysis LS(P, G);
   uint32_t M = static_cast<uint32_t>(LS.lockIndex("m"));
   for (uint32_t Id = 0; Id < G.size(); ++Id)
-    if (LS.reached(Id))
+    if (LS.reached(Id)) {
       EXPECT_LE(LS.mayAt(Id)[M], StaticLocksetAnalysis::MayCap);
+    }
 }
 
 TEST(StaticLockset, UndeclaredLockIndexIsNegative) {
@@ -602,8 +604,9 @@ TEST(Dataflow, BackEdgeMeetsWithLoopEntry) {
   // with the richer back-edge path; max-meet must keep the back-edge
   // value, so the exit sees the saturated count, not the entry count.
   for (uint32_t Id = 0; Id < G.size(); ++Id)
-    if (G.node(Id).K == CfgNode::Kind::Branch)
+    if (G.node(Id).K == CfgNode::Kind::Branch) {
       EXPECT_GT(R.In[Id], 1u);
+    }
 }
 
 // ------------------------------------------------------------ ValueRange

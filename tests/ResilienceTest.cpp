@@ -28,6 +28,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iomanip>
 #include <set>
 #include <string>
 
@@ -373,16 +375,22 @@ TEST(Degradation, RandomizedFaultyRunAgreesModuloUnknowns) {
 
 namespace {
 
-/// A multi-window workload with races, an atomicity violation, and a
-/// deadlock, so each driver accumulates non-trivial resumable state.
+/// A multi-window workload with races, atomicity violations, and
+/// deadlocks, so each driver accumulates non-trivial resumable state. The
+/// ordered-pair patterns spread the others over the windows: every
+/// property has findings both in the first window and after it, so a run
+/// resumed after the first window restores findings and still makes new
+/// ones.
 Trace resumableWorkload() {
   SyntheticSpec Spec;
   Spec.Workers = 4;
   Spec.TargetEvents = 4000;
   Spec.PlainRaces = 2;
-  Spec.AtomicityPairs = 1;
-  Spec.DeadlockCycles = 1;
+  Spec.AtomicityPairs = 2;
+  Spec.DeadlockCycles = 2;
+  Spec.OrderedPairs = 150;
   Spec.AlignWindow = 1000;
+  Spec.Seed = 6;
   Trace T = generateSynthetic(Spec);
   return T;
 }
@@ -398,22 +406,34 @@ DetectorOptions checkpointOptions(const Trace &T, const std::string &Dir) {
   return Options;
 }
 
+/// The same options, stopping after the first window: the snapshot it
+/// leaves behind is the mid-run state a resumed run must continue from.
+DetectorOptions firstWindowOnly(DetectorOptions Options) {
+  Options.MaxWindows = 1;
+  return Options;
+}
+
 } // namespace
 
 TEST(CheckpointResume, RaceDriverResumesToIdenticalResult) {
   Trace T = resumableWorkload();
   DetectionResult Fresh =
       detectRaces(T, Technique::Maximal, checkpointOptions(T, ""));
+  ASSERT_GT(Fresh.Stats.Windows, 1u) << "workload must span windows";
 
   std::string Dir = freshDir("rvp_resume_race");
   DetectorOptions Options = checkpointOptions(T, Dir);
-  DetectionResult First = detectRaces(T, Technique::Maximal, Options);
-  ASSERT_GT(First.Stats.Windows, 1u) << "workload must span windows";
+  DetectionResult First =
+      detectRaces(T, Technique::Maximal, firstWindowOnly(Options));
+  ASSERT_EQ(First.Stats.Windows, 1u);
+  ASSERT_GT(First.raceCount(), 0u);
+  ASSERT_LT(First.raceCount(), Fresh.raceCount());
 
-  // Second run finds the final snapshot, restores, and skips every
-  // window: no new solver work, identical report.
+  // Second run restores the first window's snapshot and finishes the
+  // trace: the same work and report as an uninterrupted run.
   DetectionResult Resumed = detectRaces(T, Technique::Maximal, Options);
-  EXPECT_EQ(Resumed.Stats.SolverCalls, First.Stats.SolverCalls);
+  EXPECT_EQ(Resumed.Stats.Windows, Fresh.Stats.Windows);
+  EXPECT_EQ(Resumed.Stats.SolverCalls, Fresh.Stats.SolverCalls);
   ASSERT_EQ(Resumed.raceCount(), Fresh.raceCount());
   for (size_t I = 0; I < Fresh.Races.size(); ++I) {
     EXPECT_EQ(Resumed.Races[I].LocFirst, Fresh.Races[I].LocFirst);
@@ -429,15 +449,23 @@ TEST(CheckpointResume, AtomicityDriverResumesToIdenticalResult) {
 
   std::string Dir = freshDir("rvp_resume_atom");
   DetectorOptions Options = checkpointOptions(T, Dir);
-  AtomicityResult First = detectAtomicityViolations(T, Options);
+  AtomicityResult First =
+      detectAtomicityViolations(T, firstWindowOnly(Options));
+  ASSERT_EQ(First.Stats.Windows, 1u);
+  ASSERT_GT(First.Violations.size(), 0u);
+  ASSERT_LT(First.Violations.size(), Fresh.Violations.size());
   AtomicityResult Resumed = detectAtomicityViolations(T, Options);
-  EXPECT_EQ(Resumed.Stats.SolverCalls, First.Stats.SolverCalls);
+  EXPECT_EQ(Resumed.Stats.Windows, Fresh.Stats.Windows);
+  EXPECT_EQ(Resumed.Stats.SolverCalls, Fresh.Stats.SolverCalls);
   ASSERT_EQ(Resumed.Violations.size(), Fresh.Violations.size());
   for (size_t I = 0; I < Fresh.Violations.size(); ++I) {
     EXPECT_EQ(Resumed.Violations[I].Variable, Fresh.Violations[I].Variable);
     EXPECT_EQ(Resumed.Violations[I].LocFirst, Fresh.Violations[I].LocFirst);
     EXPECT_EQ(Resumed.Violations[I].LocRemote, Fresh.Violations[I].LocRemote);
     EXPECT_EQ(Resumed.Violations[I].LocSecond, Fresh.Violations[I].LocSecond);
+    EXPECT_EQ(Resumed.Violations[I].Witness, Fresh.Violations[I].Witness);
+    EXPECT_EQ(Resumed.Violations[I].WitnessValid,
+              Fresh.Violations[I].WitnessValid);
   }
 }
 
@@ -447,14 +475,109 @@ TEST(CheckpointResume, DeadlockDriverResumesToIdenticalResult) {
 
   std::string Dir = freshDir("rvp_resume_dl");
   DetectorOptions Options = checkpointOptions(T, Dir);
-  DeadlockResult First = detectDeadlocks(T, Options);
+  DeadlockResult First = detectDeadlocks(T, firstWindowOnly(Options));
+  ASSERT_EQ(First.Stats.Windows, 1u);
+  ASSERT_GT(First.Deadlocks.size(), 0u);
+  ASSERT_LT(First.Deadlocks.size(), Fresh.Deadlocks.size());
   DeadlockResult Resumed = detectDeadlocks(T, Options);
-  EXPECT_EQ(Resumed.Stats.SolverCalls, First.Stats.SolverCalls);
+  EXPECT_EQ(Resumed.Stats.Windows, Fresh.Stats.Windows);
+  EXPECT_EQ(Resumed.Stats.SolverCalls, Fresh.Stats.SolverCalls);
   ASSERT_EQ(Resumed.Deadlocks.size(), Fresh.Deadlocks.size());
   for (size_t I = 0; I < Fresh.Deadlocks.size(); ++I) {
     EXPECT_EQ(Resumed.Deadlocks[I].LocRequestA, Fresh.Deadlocks[I].LocRequestA);
     EXPECT_EQ(Resumed.Deadlocks[I].LocRequestB, Fresh.Deadlocks[I].LocRequestB);
+    EXPECT_EQ(Resumed.Deadlocks[I].Witness, Fresh.Deadlocks[I].Witness);
+    EXPECT_EQ(Resumed.Deadlocks[I].WitnessValid,
+              Fresh.Deadlocks[I].WitnessValid);
   }
+}
+
+TEST(CheckpointResume, ForeignPropertyPayloadIsRefused) {
+  // Payloads are input from disk: a driver handed another property's
+  // state must refuse it and analyze the trace from scratch.
+  Trace T = resumableWorkload();
+  DetectorOptions Options = checkpointOptions(T, "");
+  std::string Race, Atom, Dl;
+  auto saving = [&](std::string &Payload) {
+    DetectorOptions O = Options;
+    O.SaveState = &Payload;
+    return O;
+  };
+  DetectionResult FreshRace = detectRaces(T, Technique::Maximal, saving(Race));
+  AtomicityResult FreshAtom = detectAtomicityViolations(T, saving(Atom));
+  DeadlockResult FreshDl = detectDeadlocks(T, saving(Dl));
+  // Every payload carries a finding line, so refusal is also checked
+  // with the property line forged: the finding tags alone must differ.
+  ASSERT_FALSE(FreshRace.Races.empty());
+  ASSERT_FALSE(FreshAtom.Violations.empty());
+  ASSERT_FALSE(FreshDl.Deadlocks.empty());
+  auto forged = [](std::string Payload, const std::string &Property) {
+    size_t End = Payload.find('\n');
+    return "property " + Property + Payload.substr(End);
+  };
+
+  for (const std::string &Foreign :
+       {Atom, Dl, forged(Atom, "race"), forged(Dl, "race")}) {
+    DetectorOptions O = Options;
+    O.ResumeState = &Foreign;
+    std::string Saved;
+    O.SaveState = &Saved;
+    DetectionResult R = detectRaces(T, Technique::Maximal, O);
+    EXPECT_EQ(Saved, Race);
+    ASSERT_EQ(R.Races.size(), FreshRace.Races.size());
+    for (size_t I = 0; I < R.Races.size(); ++I)
+      EXPECT_EQ(R.Races[I].Witness, FreshRace.Races[I].Witness);
+  }
+  for (const std::string &Foreign :
+       {Race, Dl, forged(Race, "atomicity"), forged(Dl, "atomicity")}) {
+    DetectorOptions O = Options;
+    O.ResumeState = &Foreign;
+    std::string Saved;
+    O.SaveState = &Saved;
+    AtomicityResult R = detectAtomicityViolations(T, O);
+    EXPECT_EQ(Saved, Atom);
+    EXPECT_EQ(R.Violations.size(), FreshAtom.Violations.size());
+  }
+  for (const std::string &Foreign :
+       {Race, Atom, forged(Race, "deadlock"), forged(Atom, "deadlock")}) {
+    DetectorOptions O = Options;
+    O.ResumeState = &Foreign;
+    std::string Saved;
+    O.SaveState = &Saved;
+    DeadlockResult R = detectDeadlocks(T, O);
+    EXPECT_EQ(Saved, Dl);
+    EXPECT_EQ(R.Deadlocks.size(), FreshDl.Deadlocks.size());
+  }
+}
+
+TEST(Checkpoint, VersionOneSnapshotIsIgnored) {
+  // Version 2 changed the payload layout: a version-1 snapshot is an
+  // obsolete format, not another analysis' state, so it is ignored and
+  // the run starts clean (and overwrites it).
+  Trace T = resumableWorkload();
+  std::string Dir = freshDir("rvp_ckpt_v1");
+  DetectorOptions Options = checkpointOptions(T, Dir);
+  {
+    std::ofstream Out(Dir + "/window-0.ckpt");
+    Out << "rvpckpt 1 " << std::hex << std::setw(16) << std::setfill('0')
+        << Options.CheckpointFingerprint << "\n"
+        << "stats 1 0 0 0 0 0 0 0\n";
+  }
+  CheckpointStore Store(Dir, Options.CheckpointFingerprint);
+  std::string Payload;
+  CheckpointLoad Outcome = CheckpointLoad::Loaded;
+  EXPECT_EQ(Store.loadLatest(Payload, &Outcome), -1);
+  EXPECT_EQ(Outcome, CheckpointLoad::None);
+
+  DetectionResult Fresh =
+      detectRaces(T, Technique::Maximal, checkpointOptions(T, ""));
+  DetectionResult R = detectRaces(T, Technique::Maximal, Options);
+  EXPECT_EQ(R.Stats.Windows, Fresh.Stats.Windows);
+  EXPECT_EQ(R.Stats.SolverCalls, Fresh.Stats.SolverCalls);
+  EXPECT_EQ(R.raceCount(), Fresh.raceCount());
+  EXPECT_EQ(Store.loadLatest(Payload, &Outcome),
+            static_cast<int64_t>(Fresh.Stats.Windows) - 1);
+  EXPECT_EQ(Outcome, CheckpointLoad::Loaded);
 }
 
 TEST(CheckpointResume, UnknownsSurviveTheSnapshot) {

@@ -4,10 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "detect/Atomicity.h"
+#include "detect/Deadlock.h"
 #include "detect/Detect.h"
 #include "runtime/Interpreter.h"
 #include "support/Stats.h"
 #include "support/Telemetry.h"
+#include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
 
@@ -360,6 +363,72 @@ TEST(Telemetry, DisabledRunsCaptureNothing) {
   // The classic one-line summary is still rendered.
   EXPECT_NE(renderStatsTable(R.Stats, "RV").find("windows="),
             std::string::npos);
+}
+
+/// A trace with races, an atomicity violation, and a deadlock, so every
+/// property has candidates to solve and witnesses to build.
+Trace allPropertiesTrace() {
+  SyntheticSpec Spec;
+  Spec.Workers = 4;
+  Spec.TargetEvents = 3000;
+  Spec.PlainRaces = 2;
+  Spec.AtomicityPairs = 1;
+  Spec.DeadlockCycles = 1;
+  return generateSynthetic(Spec);
+}
+
+TEST(Telemetry, AtomicityAndDeadlockRecordTheCopLoopPhases) {
+  TelemetryGuard Guard;
+  Trace T = allPropertiesTrace();
+  DetectorOptions Options;
+  AtomicityResult A = detectAtomicityViolations(T, Options);
+  DeadlockResult D = detectDeadlocks(T, Options);
+  ASSERT_FALSE(A.Violations.empty());
+  ASSERT_FALSE(D.Deadlocks.empty());
+  for (const auto &[Top, Stats] :
+       {std::pair<const char *, const DetectionStats *>{"atomicity",
+                                                        &A.Stats},
+        {"deadlock", &D.Stats}}) {
+    ASSERT_TRUE(Stats->Telemetry.Captured) << Top;
+    const PhaseSnapshot *Node = Stats->Telemetry.Phases.find(Top);
+    ASSERT_NE(Node, nullptr) << Top;
+    for (const char *Phase :
+         {"cop-enum", "closure", "encode", "solve", "witness"})
+      EXPECT_NE(Node->find(Phase), nullptr) << Top << " lacks " << Phase;
+  }
+}
+
+TEST(Telemetry, JobsOneNeverSolvesSpeculatively) {
+  // Without a pool the COP loop solves a candidate only after its
+  // signature check, so no solve is ever discarded.
+  Trace T = allPropertiesTrace();
+  DetectorOptions Options;
+  Options.Jobs = 1;
+  Options.Tier = DetectTier::Smt; // every race candidate reaches the solver
+  auto speculative = [](const DetectionStats &Stats) {
+    for (const auto &[Name, Value] : Stats.Telemetry.Metrics.Counters)
+      if (Name == "detect.speculative_solves")
+        return static_cast<int64_t>(Value);
+    return int64_t{-1}; // the counter must be present
+  };
+  {
+    TelemetryGuard Guard;
+    DetectionResult R = detectRaces(T, Technique::Maximal, Options);
+    EXPECT_GT(R.Stats.SolverCalls, 0u);
+    EXPECT_EQ(speculative(R.Stats), 0);
+  }
+  {
+    TelemetryGuard Guard;
+    AtomicityResult R = detectAtomicityViolations(T, Options);
+    EXPECT_GT(R.Stats.SolverCalls, 0u);
+    EXPECT_EQ(speculative(R.Stats), 0);
+  }
+  {
+    TelemetryGuard Guard;
+    DeadlockResult R = detectDeadlocks(T, Options);
+    EXPECT_GT(R.Stats.SolverCalls, 0u);
+    EXPECT_EQ(speculative(R.Stats), 0);
+  }
 }
 
 } // namespace

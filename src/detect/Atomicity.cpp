@@ -216,6 +216,25 @@ public:
     }
   }
 
+  size_t numFindings() const override { return Violations.size(); }
+
+  std::string renderFinding(size_t I,
+                            const ReportRenderOptions &) const override {
+    return renderAtomicityLine(Violations[I]);
+  }
+
+  std::string renderReport(const ReportRenderOptions &) const override {
+    return renderAtomicityReport(result());
+  }
+
+  AtomicityResult result() const {
+    AtomicityResult Result;
+    Result.Violations = Violations;
+    Result.Unknowns = State.Unknowns;
+    Result.Stats = State.Stats;
+    return Result;
+  }
+
   bool restoreFindings(
       const std::vector<std::vector<std::string_view>> &Lines) override {
     std::vector<AtomicityReport> Restored;
@@ -266,14 +285,15 @@ private:
 
 } // namespace
 
+std::unique_ptr<WindowPolicy>
+rvp::makeAtomicityPolicy(const Trace &T, const DetectorOptions &Options) {
+  return std::make_unique<AtomicityPolicy>(T, Options);
+}
+
 AtomicityResult
 rvp::detectAtomicityViolations(const Trace &T,
                                const DetectorOptions &Options) {
   AtomicityPolicy Policy(T, Options);
   runWindows(Policy);
-  AtomicityResult Result;
-  Result.Violations = std::move(Policy.Violations);
-  Result.Unknowns = std::move(Policy.State.Unknowns);
-  Result.Stats = std::move(Policy.State.Stats);
-  return Result;
+  return Policy.result();
 }

@@ -146,6 +146,25 @@ public:
     }
   }
 
+  size_t numFindings() const override { return Deadlocks.size(); }
+
+  std::string renderFinding(size_t I,
+                            const ReportRenderOptions &) const override {
+    return renderDeadlockLine(T, Deadlocks[I]);
+  }
+
+  std::string renderReport(const ReportRenderOptions &) const override {
+    return renderDeadlockReport(T, result());
+  }
+
+  DeadlockResult result() const {
+    DeadlockResult Result;
+    Result.Deadlocks = Deadlocks;
+    Result.Unknowns = State.Unknowns;
+    Result.Stats = State.Stats;
+    return Result;
+  }
+
   bool restoreFindings(
       const std::vector<std::vector<std::string_view>> &Lines) override {
     auto parseRequest = [&](std::string_view S, EventId &Out) {
@@ -216,13 +235,14 @@ private:
 
 } // namespace
 
+std::unique_ptr<WindowPolicy>
+rvp::makeDeadlockPolicy(const Trace &T, const DetectorOptions &Options) {
+  return std::make_unique<DeadlockPolicy>(T, Options);
+}
+
 DeadlockResult rvp::detectDeadlocks(const Trace &T,
                                     const DetectorOptions &Options) {
   DeadlockPolicy Policy(T, Options);
   runWindows(Policy);
-  DeadlockResult Result;
-  Result.Deadlocks = std::move(Policy.Deadlocks);
-  Result.Unknowns = std::move(Policy.State.Unknowns);
-  Result.Stats = std::move(Policy.State.Stats);
-  return Result;
+  return Policy.result();
 }

@@ -568,6 +568,25 @@ public:
     }
   }
 
+  size_t numFindings() const override { return Races.size(); }
+
+  std::string renderFinding(size_t I,
+                            const ReportRenderOptions &R) const override {
+    return renderRaceLine(T, Races[I], R);
+  }
+
+  std::string renderReport(const ReportRenderOptions &R) const override {
+    return renderRaceReport(T, Tech, result(), R);
+  }
+
+  DetectionResult result() const {
+    DetectionResult Result;
+    Result.Races = Races;
+    Result.Unknowns = State.Unknowns;
+    Result.Stats = State.Stats;
+    return Result;
+  }
+
   bool restoreFindings(
       const std::vector<std::vector<std::string_view>> &Lines) override {
     std::vector<RaceReport> Restored;
@@ -810,13 +829,15 @@ private:
 
 } // namespace
 
+std::unique_ptr<WindowPolicy>
+rvp::makeRacePolicy(const Trace &T, Technique Tech,
+                    const DetectorOptions &Options) {
+  return std::make_unique<RacePolicy>(T, Tech, Options);
+}
+
 DetectionResult rvp::detectRaces(const Trace &T, Technique Tech,
                                  const DetectorOptions &Options) {
   RacePolicy Policy(T, Tech, Options);
   runWindows(Policy);
-  DetectionResult Result;
-  Result.Races = std::move(Policy.Races);
-  Result.Unknowns = std::move(Policy.State.Unknowns);
-  Result.Stats = std::move(Policy.State.Stats);
-  return Result;
+  return Policy.result();
 }

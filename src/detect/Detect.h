@@ -161,28 +161,6 @@ struct DetectorOptions {
   /// WcpMismatches), and the fast paths are disabled so the full SMT
   /// semantics is what WCP is checked against.
   bool CheckTiers = false;
-
-  // ---- Streaming hooks (detect/Stream.h, docs/SERVER.md). Batch runs
-  // leave all four at their defaults; every driver honors them the same
-  // way, so the streaming front end is property-agnostic.
-
-  /// Stop after this many windows processed *by this run* (0 = no limit).
-  /// Windows a resumed snapshot already covers do not count.
-  uint64_t MaxWindows = 0;
-  /// In-memory resume: cumulative driver state a previous run serialized
-  /// over a prefix of the same trace (the checkpoint payload format, see
-  /// docs/ROBUSTNESS.md). Restored after any CheckpointDir snapshot, so
-  /// the caller-held state is authoritative during streaming while the
-  /// directory still covers daemon restarts. Not owned; may be null.
-  const std::string *ResumeState = nullptr;
-  /// When non-null, receives the serialized cumulative driver state after
-  /// the last processed window (the checkpoint payload format).
-  std::string *SaveState = nullptr;
-  /// Flush the per-run tallies into the process-wide MetricsRegistry and
-  /// capture Stats.Telemetry at the end of the run. The streaming front
-  /// end disables this for intermediate window steps so one session's
-  /// counters land in the registry exactly once (at finish).
-  bool FlushTelemetry = true;
 };
 
 /// One reported race (first COP found per signature).

@@ -6,9 +6,9 @@
 
 #include "detect/Stream.h"
 
-#include "detect/Atomicity.h"
-#include "detect/Deadlock.h"
-#include "trace/Window.h"
+#include "detect/WindowDriver.h"
+
+#include <algorithm>
 
 using namespace rvp;
 
@@ -24,171 +24,148 @@ bool rvp::parseStreamProperty(std::string_view Name, StreamProperty &Out) {
   return true;
 }
 
-void StreamDetector::feed(std::string_view Text) {
-  if (Run.Finished || Text.empty())
-    return;
-  // Chunks can end mid-line; only complete lines move into the parse
-  // buffer, so the parser never sees a torn event.
-  Run.Pending.append(Text);
-  size_t Cut = Run.Pending.rfind('\n');
-  if (Cut == std::string::npos)
-    return;
-  Run.Buffer.append(Run.Pending, 0, Cut + 1);
-  Run.Pending.erase(0, Cut + 1);
-  Run.Dirty = true;
-}
-
-bool StreamDetector::ensureParsed(std::string &Error) {
-  if (!Run.Dirty && Run.Parsed)
-    return true;
-  // Re-parsing the whole prefix keeps interning byte-identical to the
-  // batch parse of the full trace (intern order is prefix-stable), which
-  // is what makes streamed window K equal batch window K.
-  std::string ParseError;
-  TraceParseStats Stats;
-  std::optional<Trace> T =
-      parseTraceText(Run.Buffer, ParseError, Opts.Parse, &Stats);
-  if (!T) {
-    Error = ParseError;
-    return false;
+DetectorRun::DetectorRun(const StreamOptions &Opts) : Parser(Opts.Parse) {
+  const Trace &T = Parser.trace();
+  switch (Opts.Property) {
+  case StreamProperty::Race:
+    Policy = makeRacePolicy(T, Opts.Tech, Opts.Detect);
+    break;
+  case StreamProperty::Atomicity:
+    Policy = makeAtomicityPolicy(T, Opts.Detect);
+    break;
+  case StreamProperty::Deadlock:
+    Policy = makeDeadlockPolicy(T, Opts.Detect);
+    break;
   }
-  Run.SkippedEvents = Stats.SkippedEvents;
-  Run.Parsed = std::move(T);
-  Run.Dirty = false;
-  return true;
+  Driver = std::make_unique<WindowDriver>(*Policy);
 }
 
-uint32_t StreamDetector::windowSize() const { return Opts.Detect.WindowSize; }
+DetectorRun::~DetectorRun() = default;
 
-uint64_t StreamDetector::totalWindows(const Trace &T, bool Final) const {
-  uint32_t WS = windowSize();
+StreamDetector::StreamDetector(StreamOptions Options)
+    : Opts(std::move(Options)), Run(std::make_unique<DetectorRun>(Opts)) {}
+
+StreamDetector::~StreamDetector() = default;
+
+void StreamDetector::reset() {
+  Run.reset(); // the old driver goes before the new one is built
+  Run = std::make_unique<DetectorRun>(Opts);
+}
+
+void StreamDetector::feed(std::string_view Text) {
+  if (!Run->Finished)
+    Run->Parser.feed(Text);
+}
+
+bool StreamDetector::checkParse(std::string &Error) {
+  if (Run->Parser.error().empty())
+    return true;
+  Error = Run->Parser.error();
+  return false;
+}
+
+uint64_t StreamDetector::totalWindows(bool Final) const {
+  uint64_t Size = Run->Parser.trace().size();
+  uint32_t WS = Opts.Detect.WindowSize;
   if (WS == 0) // one window over the whole trace: only FIN closes it
-    return Final ? 1 : 0;
+    return Final && Size > 0 ? 1 : 0;
   if (Final)
-    return (T.size() + WS - 1) / WS;
-  return T.size() / WS; // full windows only; the tail waits for FIN
+    return (Size + WS - 1) / WS;
+  return Size / WS; // full windows only; the tail waits for FIN
 }
 
 uint64_t StreamDetector::pendingWindows() {
-  std::string Error;
-  if (!ensureParsed(Error))
+  if (!Run->Parser.error().empty())
     return 0;
-  uint64_t Total = totalWindows(*Run.Parsed, Run.Finished);
-  return Total > Run.WindowsDone ? Total - Run.WindowsDone : 0;
+  uint64_t Total = totalWindows(Run->Finished);
+  return Total > Run->WindowsDone ? Total - Run->WindowsDone : 0;
 }
 
 bool StreamDetector::windowReady() {
-  if (Run.Finished)
-    return false;
-  std::string Error;
-  if (!ensureParsed(Error))
-    return false; // the parse error surfaces from the next step()
-  return Run.WindowsDone < totalWindows(*Run.Parsed, false);
+  return !Run->Finished && pendingWindows() > 0;
+}
+
+void StreamDetector::restore(std::string Payload, uint64_t WindowsDone) {
+  Run->Restore = std::move(Payload);
+  Run->WindowsDone = WindowsDone;
+}
+
+bool StreamDetector::applyRestore(std::string &Error) {
+  if (Run->Restore.empty())
+    return true;
+  std::string Payload = std::move(Run->Restore);
+  Run->Restore.clear();
+  if (Run->Driver->restore(Payload) &&
+      Run->Policy->State.Stats.Windows == Run->WindowsDone)
+    return true;
+  Error = "resume state does not match the replayed trace";
+  return false;
+}
+
+std::string StreamDetector::state() const {
+  return Run->Restore.empty() ? Run->Driver->serialize() : Run->Restore;
 }
 
 bool StreamDetector::step(StreamStep &Out, bool Degrade,
                           std::string &Error) {
-  return analyzeOne(Out, Degrade, /*Final=*/Run.Finished, Error);
-}
-
-bool StreamDetector::analyzeOne(StreamStep &Out, bool Degrade, bool Final,
-                                std::string &Error) {
   Error.clear();
-  if (!ensureParsed(Error))
+  if (!checkParse(Error) || pendingWindows() == 0 || !applyRestore(Error))
     return false;
-  const Trace &T = *Run.Parsed;
-  if (Run.WindowsDone >= totalWindows(T, Final))
-    return false;
-
-  DetectorOptions D = Opts.Detect;
-  D.ResumeState = &Run.State;
-  D.SaveState = &Run.State;
-  D.MaxWindows = 1;
-  D.FlushTelemetry = false; // exactly once per session, in finish()
-  D.CheckpointDir.clear();  // the daemon checkpoints Run.State itself
+  const uint64_t Size = Run->Parser.trace().size();
+  const uint64_t WS = Opts.Detect.WindowSize;
+  Span Window{0, static_cast<EventId>(Size)};
+  if (WS != 0) {
+    Window.Begin = static_cast<EventId>(Run->WindowsDone * WS);
+    Window.End = static_cast<EventId>(std::min(Size, Window.Begin + WS));
+  }
+  WindowPolicy &P = *Run->Policy;
   bool Degraded = Degrade && Opts.Property == StreamProperty::Race;
-  if (Degraded) {
-    // Load shedding: answer this window from the linear WCP tier. The
-    // verdicts are weakly sound (docs/TIERS.md) and carry no witnesses;
-    // the caller marks the window `degraded` so consumers know.
-    D.Tier = DetectTier::Vc;
-    D.CheckTiers = false;
-    D.CollectWitnesses = false;
+  {
+    ScopedPhaseTimer TopPhase(P.Phase);
+    Run->Driver->push(Window, Degraded);
   }
 
   Out = StreamStep();
-  Out.Window = Run.WindowsDone;
+  Out.Window = Run->WindowsDone++;
   Out.Degraded = Degraded;
-  size_t PrevFindings = Run.Findings, PrevUnknowns = Run.Unknowns;
-
-  switch (Opts.Property) {
-  case StreamProperty::Race: {
-    DetectionResult R = detectRaces(T, Opts.Tech, D);
-    for (size_t I = PrevFindings; I < R.Races.size(); ++I)
-      Out.Delta += renderRaceLine(T, R.Races[I], Opts.Render);
-    for (size_t I = PrevUnknowns; I < R.Unknowns.size(); ++I)
-      Out.Delta += renderUnknownLine(R.Unknowns[I]);
-    Run.Findings = R.Races.size();
-    Run.Unknowns = R.Unknowns.size();
-    Run.Stats = R.Stats;
-    break;
-  }
-  case StreamProperty::Atomicity: {
-    AtomicityResult R = detectAtomicityViolations(T, D);
-    for (size_t I = PrevFindings; I < R.Violations.size(); ++I)
-      Out.Delta += renderAtomicityLine(R.Violations[I]);
-    for (size_t I = PrevUnknowns; I < R.Unknowns.size(); ++I)
-      Out.Delta += renderUnknownLine(R.Unknowns[I]);
-    Run.Findings = R.Violations.size();
-    Run.Unknowns = R.Unknowns.size();
-    Run.Stats = R.Stats;
-    break;
-  }
-  case StreamProperty::Deadlock: {
-    DeadlockResult R = detectDeadlocks(T, D);
-    for (size_t I = PrevFindings; I < R.Deadlocks.size(); ++I)
-      Out.Delta += renderDeadlockLine(T, R.Deadlocks[I]);
-    for (size_t I = PrevUnknowns; I < R.Unknowns.size(); ++I)
-      Out.Delta += renderUnknownLine(R.Unknowns[I]);
-    Run.Findings = R.Deadlocks.size();
-    Run.Unknowns = R.Unknowns.size();
-    Run.Stats = R.Stats;
-    break;
-  }
-  }
-  Out.NewFindings = Run.Findings > PrevFindings
-                        ? Run.Findings - PrevFindings
-                        : 0;
-  Out.NewUnknowns = Run.Unknowns > PrevUnknowns
-                        ? Run.Unknowns - PrevUnknowns
-                        : 0;
+  for (size_t I = Run->Findings; I < P.numFindings(); ++I)
+    Out.Delta += P.renderFinding(I, Opts.Render);
+  for (size_t I = Run->Unknowns; I < P.State.Unknowns.size(); ++I)
+    Out.Delta += renderUnknownLine(P.State.Unknowns[I]);
+  Out.NewFindings = P.numFindings() - Run->Findings;
+  if (P.State.Unknowns.size() > Run->Unknowns)
+    Out.NewUnknowns = P.State.Unknowns.size() - Run->Unknowns;
+  Run->Findings = P.numFindings();
+  Run->Unknowns = P.State.Unknowns.size();
   if (Degraded)
-    ++Run.DegradedWindows;
-  Run.WindowsDone = Run.Stats.Windows;
+    ++Run->DegradedWindows;
   return true;
 }
 
 bool StreamDetector::finish(std::string &Summary, std::string &Error,
                             std::vector<StreamStep> *Steps) {
   Error.clear();
-  if (Run.Complete) {
-    Summary = Run.SummaryText;
+  if (!Run->SummaryText.empty()) {
+    Summary = Run->SummaryText;
     return true;
   }
-  if (!Run.Finished) {
-    if (!Run.Pending.empty()) { // the input need not end with a newline
-      Run.Buffer += Run.Pending;
-      Run.Pending.clear();
-      Run.Dirty = true;
-    }
-    Run.Finished = true;
+  if (!Run->Finished) {
+    Run->Parser.finish(); // the input need not end with a newline
+    Run->Finished = true;
+  }
+  if (!Run->Restore.empty() && totalWindows(false) < Run->WindowsDone) {
+    // The replay is shorter than the restored snapshot: a different
+    // trace. Start over from scratch — always sound, the snapshot only
+    // saved time.
+    Run->Restore.clear();
+    Run->WindowsDone = 0;
   }
 
   // Drain the tail one window at a time so callers still get per-window
   // deltas for everything that arrived after the last step().
   for (;;) {
     StreamStep S;
-    if (!analyzeOne(S, /*Degrade=*/false, /*Final=*/true, Error)) {
+    if (!step(S, /*Degrade=*/false, Error)) {
       if (!Error.empty())
         return false;
       break;
@@ -196,49 +173,14 @@ bool StreamDetector::finish(std::string &Summary, std::string &Error,
     if (Steps)
       Steps->push_back(std::move(S));
   }
-
-  // Closing call: MaxWindows=0 sweeps any splitWindows edge case the
-  // counting above missed (e.g. the empty trace), and FlushTelemetry
-  // lands this session's counters in the registry exactly once. With no
-  // windows left it restores, re-serializes, and renders — cheap.
-  if (!ensureParsed(Error))
+  if (!applyRestore(Error))
     return false;
-  const Trace &T = *Run.Parsed;
-  DetectorOptions D = Opts.Detect;
-  D.ResumeState = &Run.State;
-  D.SaveState = &Run.State;
-  D.MaxWindows = 0;
-  D.FlushTelemetry = true;
-  D.CheckpointDir.clear();
 
-  switch (Opts.Property) {
-  case StreamProperty::Race: {
-    DetectionResult R = detectRaces(T, Opts.Tech, D);
-    Summary = renderRaceReport(T, Opts.Tech, R, Opts.Render);
-    Run.Findings = R.raceCount();
-    Run.Unknowns = R.Unknowns.size();
-    Run.Stats = R.Stats;
-    break;
-  }
-  case StreamProperty::Atomicity: {
-    AtomicityResult R = detectAtomicityViolations(T, D);
-    Summary = renderAtomicityReport(R);
-    Run.Findings = R.Violations.size();
-    Run.Unknowns = R.Unknowns.size();
-    Run.Stats = R.Stats;
-    break;
-  }
-  case StreamProperty::Deadlock: {
-    DeadlockResult R = detectDeadlocks(T, D);
-    Summary = renderDeadlockReport(T, R);
-    Run.Findings = R.Deadlocks.size();
-    Run.Unknowns = R.Unknowns.size();
-    Run.Stats = R.Stats;
-    break;
-  }
-  }
-  Run.WindowsDone = Run.Stats.Windows;
-  Run.SummaryText = Summary;
-  Run.Complete = true;
+  Run->Driver->finish();
+  WindowPolicy &P = *Run->Policy;
+  Summary = P.renderReport(Opts.Render);
+  Run->Findings = P.numFindings();
+  Run->Unknowns = P.State.Unknowns.size();
+  Run->SummaryText = Summary;
   return true;
 }

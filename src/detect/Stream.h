@@ -4,21 +4,21 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// StreamDetector runs the batch detectors one window at a time over a
-// trace that arrives incrementally — the analysis core of rvpredictd.
-// Each step re-parses the accumulated text prefix (interning is
-// prefix-stable, so window K's events and name tables are byte-identical
-// to the batch parse) and resumes the driver from the serialized state of
-// the previous step via DetectorOptions::{ResumeState, MaxWindows,
-// SaveState}. The cumulative result after the last step is therefore the
-// batch result, and finish() renders it with the shared Report renderers
-// — the property the ServerGolden gate checks byte for byte.
+// StreamDetector runs the window driver over a trace that arrives
+// incrementally: the analysis core of rvpredictd. A session keeps one
+// TraceParser, which parses each line once, when its newline arrives, and
+// appends the event to the session's trace, plus one live policy and
+// WindowDriver over that trace. Each step pushes the next full window;
+// the driver carries the running variable values and the reported
+// signatures from window to window, exactly as in a batch run, so the
+// cumulative result after the last step is the batch result and finish()
+// renders it with the shared Report renderers: the property the
+// ServerGolden gate checks byte for byte.
 //
-// All per-session state lives in one DetectorRun value; reset() replaces
-// it wholesale, so a recycled detector inherits no interned strings,
-// stats, or clock state from the previous session. Telemetry flushes to
-// the process-wide registry exactly once per session, at finish(), under
-// the drivers' FlushTelemetry gate.
+// All per-session state lives in one DetectorRun; reset() replaces it
+// wholesale, so a recycled detector inherits no interned strings, stats,
+// or clock state from the previous session. Telemetry flushes to the
+// process-wide registry exactly once per session, at finish().
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,11 +28,14 @@
 #include "detect/Report.h"
 #include "trace/TraceIO.h"
 
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace rvp {
+
+class WindowDriver;
+class WindowPolicy;
 
 enum class StreamProperty : uint8_t { Race, Atomicity, Deadlock };
 
@@ -43,8 +46,8 @@ bool parseStreamProperty(std::string_view Name, StreamProperty &Out);
 struct StreamOptions {
   StreamProperty Property = StreamProperty::Race;
   Technique Tech = Technique::Maximal;
-  /// Base driver options for every step. ResumeState/SaveState/MaxWindows/
-  /// FlushTelemetry are owned by the detector and overwritten per step.
+  /// Driver options for the session (CheckpointDir is not used: the
+  /// daemon checkpoints state() itself).
   DetectorOptions Detect;
   TraceParseOptions Parse;
   ReportRenderOptions Render;
@@ -64,46 +67,50 @@ struct StreamStep {
 };
 
 /// All state one streaming session accumulates. Sessions never share one
-/// of these, and reset() swaps in a fresh value, which is what guarantees
+/// of these, and reset() swaps in a fresh one, which is what guarantees
 /// session isolation (no interned-string, value, or signature bleed).
 struct DetectorRun {
-  std::string Buffer;   ///< complete lines received so far
-  std::string Pending;  ///< trailing partial line (no newline yet)
-  std::string State;    ///< serialized cumulative driver state
-  std::optional<Trace> Parsed; ///< cache of parseTraceText(Buffer)
-  bool Dirty = true;    ///< Buffer changed since Parsed was built
+  explicit DetectorRun(const StreamOptions &Opts);
+  ~DetectorRun();
+
+  /// Owns the session's trace; the partial last line waits inside it.
+  TraceParser Parser;
+  /// One live policy and driver over Parser's trace.
+  std::unique_ptr<WindowPolicy> Policy;
+  std::unique_ptr<WindowDriver> Driver;
+  /// A recovered payload not yet installed in Driver (see restore()).
+  std::string Restore;
   bool Finished = false;
   uint64_t WindowsDone = 0;
   uint64_t DegradedWindows = 0;
-  uint64_t SkippedEvents = 0;
+  /// Findings and unknowns this session has reported in step deltas.
   size_t Findings = 0;
   size_t Unknowns = 0;
-  /// Stats of the most recent driver call (cumulative via resume).
-  DetectionStats Stats;
-  /// finish() ran; SummaryText caches its report so a second finish()
-  /// cannot double-flush telemetry.
-  bool Complete = false;
+  /// The report of finish(), cached so a second finish() cannot
+  /// double-flush telemetry.
   std::string SummaryText;
 };
 
 class StreamDetector {
 public:
-  explicit StreamDetector(StreamOptions Opts) : Opts(std::move(Opts)) {}
+  explicit StreamDetector(StreamOptions Opts);
+  ~StreamDetector();
 
-  /// Appends raw trace text; chunks may end mid-line.
+  /// Appends raw trace text; chunks may end mid-line. Every line the
+  /// chunk completes is parsed here; a parse error surfaces from
+  /// checkParse() and the next step()/finish().
   void feed(std::string_view Text);
 
-  /// True when at least one full unanalyzed window is buffered. Parses
-  /// the buffer if it changed; a parse error reports false here and
-  /// surfaces from the next step()/finish().
+  /// True when at least one full unanalyzed window is buffered.
   bool windowReady();
 
   /// Analyzes the next pending window (one full window; partial tails
   /// wait for finish()). \p Degrade answers this window from the WCP
   /// vector-clock tier instead of the solver pipeline — race property
   /// only; atomicity/deadlock steps ignore it and run normally. Returns
-  /// false with \p Error set on parse failure, false with \p Error empty
-  /// when no full window is pending.
+  /// false with \p Error set on a parse error or a restored payload that
+  /// does not fit the trace, false with \p Error empty when no full
+  /// window is pending.
   bool step(StreamStep &Out, bool Degrade, std::string &Error);
 
   /// End of input: analyzes any residual partial window (each step
@@ -113,43 +120,38 @@ public:
   bool finish(std::string &Summary, std::string &Error,
               std::vector<StreamStep> *Steps = nullptr);
 
-  /// Discards every trace of the previous session (satellite of the
-  /// daemon work: recycled detectors must behave like new ones).
-  void reset() { Run = DetectorRun(); }
+  /// Discards every trace of the previous session (recycled detectors
+  /// must behave like new ones).
+  void reset();
 
   /// Crash recovery: installs a state payload (CheckpointStore format,
   /// sans header) covering the first \p WindowsDone windows. Analysis
   /// stays suspended until the replayed trace covers those windows again,
-  /// then resumes after them. Call before the first feed().
-  void restore(std::string Payload, uint64_t WindowsDone) {
-    Run.State = std::move(Payload);
-    Run.WindowsDone = WindowsDone;
-  }
+  /// then resumes after them; a replay that ends first starts over from
+  /// scratch. Call before the first step().
+  void restore(std::string Payload, uint64_t WindowsDone);
 
   /// Full windows buffered but not yet analyzed (the backpressure and
-  /// load-shedding signal). 0 while the buffer fails to parse.
+  /// load-shedding signal). 0 after a parse error.
   uint64_t pendingWindows();
 
-  /// Eager parse check so the daemon can fail a session on the first bad
-  /// DATA chunk instead of waiting for the next analysis step.
-  bool checkParse(std::string &Error) { return ensureParsed(Error); }
+  /// Whether every line fed so far parsed, so the daemon can fail a
+  /// session on the first bad DATA chunk.
+  bool checkParse(std::string &Error);
 
-  const DetectorRun &run() const { return Run; }
-  const StreamOptions &options() const { return Opts; }
+  const DetectorRun &run() const { return *Run; }
   /// Serialized cumulative state (checkpoint payload format) — what the
   /// daemon persists for crash recovery.
-  const std::string &state() const { return Run.State; }
+  std::string state() const;
 
 private:
-  bool ensureParsed(std::string &Error);
-  uint32_t windowSize() const;
-  /// Windows the batch run would analyze for the current buffer.
-  uint64_t totalWindows(const Trace &T, bool Final) const;
-  bool analyzeOne(StreamStep &Out, bool Degrade, bool Final,
-                  std::string &Error);
+  /// Windows the batch run would analyze for the trace parsed so far.
+  uint64_t totalWindows(bool Final) const;
+  /// Installs a pending restore() payload into the driver.
+  bool applyRestore(std::string &Error);
 
   StreamOptions Opts;
-  DetectorRun Run;
+  std::unique_ptr<DetectorRun> Run;
 };
 
 } // namespace rvp

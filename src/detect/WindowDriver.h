@@ -10,12 +10,15 @@
 /// formula, so the race, atomicity, and deadlock detectors share this
 /// driver and differ only in a small WindowPolicy.
 ///
-/// The driver owns everything the properties have in common:
+/// The driver is push-style: push() analyzes the next window and finish()
+/// closes the run. A window carries forward only the running variable
+/// values and the reported signatures (Section 4), so a batch run pushes
+/// every window of the whole trace and a streamed session pushes each
+/// window as its events arrive, through the same code. The driver owns
+/// everything the properties have in common:
 ///
-///  * the window loop: checkpoint load (with the fingerprint refusal),
-///    save, and the `detect.abort` kill point; the streaming hooks
-///    ResumeState/SaveState/MaxWindows; the running variable values
-///    carried from window to window;
+///  * the running variable values carried from window to window, grown
+///    as the trace names new variables;
 ///  * one COP loop for every `--jobs` value. Phase A (the policy's
 ///    enumerate) pre-filters; phase B pre-solves the survivors on the
 ///    thread pool when there is one; phase C collects in candidate order
@@ -24,13 +27,14 @@
 ///    demand, so `--jobs=1` does no speculative work;
 ///  * a SolveHost per window (per worker with a pool) and its resilience
 ///    tallies, the signature-keyed unknown section, the unsliced witness
-///    re-derivation, and the telemetry flush;
-///  * the checkpoint payload codec (docs/ROBUSTNESS.md). A policy adds
+///    re-derivation, and the telemetry flush at finish();
+///  * the checkpoint payload codec (docs/ROBUSTNESS.md), used by
+///    `--checkpoint` and the daemon's session checkpoints. A policy adds
 ///    only its finding lines.
 ///
 /// A policy enumerates a window's candidates with their signature and
 /// pre-filter verdict, encodes one candidate's query, checks its witness,
-/// and builds its finding.
+/// builds its finding, and renders its findings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,8 +44,11 @@
 #include "detect/Closure.h"
 #include "detect/Detect.h"
 #include "detect/RaceEncoder.h"
+#include "detect/Report.h"
 #include "smt/Solver.h"
+#include "support/Timer.h"
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -51,6 +58,7 @@
 namespace rvp {
 
 class MetricsRegistry;
+class ThreadPool;
 
 /// One candidate of a window, as phase A enumerates it.
 struct Candidate {
@@ -182,6 +190,14 @@ public:
   /// Property-specific counters, next to the driver's.
   virtual void flushTelemetry(MetricsRegistry &) const {}
 
+  /// Findings so far, in report order.
+  virtual size_t numFindings() const = 0;
+  /// Finding \p I's report line (renderRaceLine and its siblings).
+  virtual std::string renderFinding(size_t I,
+                                    const ReportRenderOptions &R) const = 0;
+  /// The full report of the run, as `rvpredict detect` prints it.
+  virtual std::string renderReport(const ReportRenderOptions &R) const = 0;
+
   /// Appends one line per finding to the checkpoint payload.
   virtual void encodeFindings(std::string &Out) const = 0;
   /// Replaces the findings with \p Lines (split into fields). All or
@@ -191,15 +207,63 @@ public:
   restoreFindings(const std::vector<std::vector<std::string_view>> &Lines) = 0;
 
   const Trace &T;
-  const DetectorOptions &Options;
+  /// The options of the window being analyzed: the run's, or their
+  /// degraded form while push() sheds a window to the WCP tier.
+  DetectorOptions Options;
   const char *const Name;
   const char *const Phase;
   RunState State;
 };
 
-/// Runs \p Policy over every window of its trace; the run's results are
-/// left in Policy.State and the policy's findings.
+/// Drives one policy over a trace, one window at a time. The trace may
+/// grow between pushes (a streamed session appends to it); each pushed
+/// window must be finalized and must follow the previous one.
+class WindowDriver {
+public:
+  explicit WindowDriver(WindowPolicy &Policy);
+  ~WindowDriver();
+
+  /// Analyzes \p Window. \p Degrade sheds it to the WCP vector-clock tier
+  /// without witnesses or tier cross-checks (load shedding; only the race
+  /// property has such a tier).
+  void push(Span Window, bool Degrade = false);
+  /// Ends the run: sets Stats.UnknownCops and Stats.Seconds and flushes
+  /// the run's telemetry into the registry, once.
+  void finish();
+
+  /// Everything accumulated so far, as a checkpoint payload.
+  std::string serialize() const;
+  /// Inverse of serialize; call before the first push(). All or nothing:
+  /// false, leaving the state untouched, on a malformed payload, one of
+  /// another property, or one that does not fit the trace.
+  bool restore(std::string_view Payload);
+
+private:
+  void decideAll(const WindowScope &W, const std::vector<Candidate> &Cands);
+
+  const Trace &T;
+  WindowPolicy &P;
+  RunState &S;
+  /// Worker pool for phase B; null when Jobs <= 1 or the policy never
+  /// solves.
+  std::unique_ptr<ThreadPool> Pool;
+  /// Runs from construction to finish(), for Stats.Seconds.
+  Timer Clock;
+};
+
+/// Pushes every window of \p Policy's trace through one driver, then
+/// finishes; the run's results are left in Policy.State and the policy's
+/// findings. With --checkpoint it resumes after the last saved window and
+/// saves after each one.
 void runWindows(WindowPolicy &Policy);
+
+/// The three properties' policies, for a driver fed window by window.
+std::unique_ptr<WindowPolicy> makeRacePolicy(const Trace &T, Technique Tech,
+                                             const DetectorOptions &Options);
+std::unique_ptr<WindowPolicy>
+makeAtomicityPolicy(const Trace &T, const DetectorOptions &Options);
+std::unique_ptr<WindowPolicy>
+makeDeadlockPolicy(const Trace &T, const DetectorOptions &Options);
 
 /// Finding-line helpers for the checkpoint codec.
 /// An event id field, range-checked against \p T.

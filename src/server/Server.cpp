@@ -77,9 +77,6 @@ struct Session {
 
   // Crash recovery (ckpt=<key> HELLO option, docs/SERVER.md).
   std::unique_ptr<CheckpointStore> Ckpt;
-  std::string RecoveredState;
-  uint64_t RecoveredWindows = 0;
-  bool Recovering = false;
 };
 
 /// What a worker task hands back to the I/O thread.
@@ -496,19 +493,20 @@ bool Server::Impl::applyHello(Session &S, std::string_view Payload,
       SO.Tech == Technique::Maximal && SO.Detect.CollectWitnesses;
   SO.Render.WitnessEvents = false;
 
+  std::string Snapshot;
+  int64_t Last = -1;
   if (!CkptKey.empty() && !Opts.CheckpointRoot.empty()) {
     // Recovery fingerprint pins the session flags (the trace is still
-    // streaming in, so unlike batch mode it cannot be pinned here; the
-    // resume-mismatch guard in handleCompletion covers a changed trace).
+    // streaming in, so unlike batch mode it cannot be pinned here; a
+    // replayed trace the snapshot does not fit fails its first step).
     uint64_t Fingerprint = checkpointHash(formatString(
         "server property=%d technique=%s window=%u tier=%s",
         static_cast<int>(SO.Property), techniqueName(SO.Tech),
         SO.Detect.WindowSize, tierName(SO.Detect.Tier)));
     S.Ckpt = std::make_unique<CheckpointStore>(
         Opts.CheckpointRoot + "/" + CkptKey, Fingerprint);
-    std::string Snapshot;
     CheckpointLoad Outcome = CheckpointLoad::None;
-    int64_t Last = S.Ckpt->loadLatest(Snapshot, &Outcome);
+    Last = S.Ckpt->loadLatest(Snapshot, &Outcome);
     if (Outcome == CheckpointLoad::FingerprintMismatch) {
       // The batch CLI exits 2 here; the daemon must never exit for one
       // client, so the session gets the equivalent typed refusal.
@@ -516,15 +514,15 @@ bool Server::Impl::applyHello(Session &S, std::string_view Payload,
               "analysis; rerun with the original options or a fresh key";
       return false;
     }
-    if (Last >= 0) {
-      S.RecoveredState = std::move(Snapshot);
-      S.RecoveredWindows = static_cast<uint64_t>(Last) + 1;
-      S.Recovering = true;
-      serverCounter("server.sessions_recovered").inc();
-    }
   }
 
   S.Det = std::make_unique<StreamDetector>(std::move(SO));
+  if (Last >= 0) {
+    // Analysis stays suspended until the replayed prefix covers the
+    // recovered windows, then continues after them.
+    S.Det->restore(std::move(Snapshot), static_cast<uint64_t>(Last) + 1);
+    serverCounter("server.sessions_recovered").inc();
+  }
   return true;
 }
 
@@ -555,25 +553,6 @@ void Server::Impl::pump(Session &S) {
     std::string ParseError;
     if (!S.Det->checkParse(ParseError)) {
       sessionError(S, "trace error: " + ParseError);
-      return;
-    }
-  }
-
-  // Crash recovery: hold analysis until the replayed prefix covers the
-  // recovered windows, then install the snapshot and continue after them.
-  if (S.Recovering) {
-    if (S.Det->pendingWindows() >= S.RecoveredWindows) {
-      S.Det->restore(std::move(S.RecoveredState), S.RecoveredWindows);
-      S.Recovering = false;
-    } else if (S.FinReceived) {
-      // The replay is shorter than the snapshot: different trace. Start
-      // over from scratch — always sound, the snapshot only saved time.
-      S.Recovering = false;
-      S.RecoveredState.clear();
-      S.RecoveredWindows = 0;
-    } else {
-      S.PendingCache = 0; // suspended: nothing is analyzable yet
-      updatePause(S);
       return;
     }
   }
@@ -676,14 +655,6 @@ void Server::Impl::handleCompletion(Completion &C) {
     queueReport(S, C.Step);
     if (S.Dead)
       return; // a torn write during the report killed the session
-    // Resume-mismatch guard: if the in-memory state failed to apply, the
-    // driver restarted from window 0 — the replayed trace does not match
-    // the recovered snapshot, and silently mixing them would mislabel
-    // every report.
-    if (S.Det->run().WindowsDone != C.Step.Window + 1) {
-      sessionError(S, "resume state does not match the replayed trace");
-      return;
-    }
     if (S.Ckpt && S.Ckpt->enabled())
       S.Ckpt->save(S.Det->run().WindowsDone - 1, S.Det->state());
   }

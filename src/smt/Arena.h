@@ -127,6 +127,8 @@ public:
   /// Appends [First, Last) at the end.
   void append(const T *First, const T *Last) {
     size_t N = static_cast<size_t>(Last - First);
+    if (N == 0) // First may be null: memcpy from null is undefined
+      return;
     if (Count + N > Capacity) {
       size_t NewCap = Capacity ? Capacity * 2 : 64;
       while (NewCap < Count + N)

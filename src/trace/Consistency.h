@@ -29,6 +29,8 @@
 #include "trace/Trace.h"
 
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace rvp {
 
@@ -48,6 +50,38 @@ struct ConsistencyResult {
   static ConsistencyResult failure(EventId Id, std::string Msg) {
     return {false, Id, std::move(Msg)};
   }
+};
+
+/// The forward checker behind checkConsistency, fed one event at a time.
+/// A rejected event leaves the checker as if it had never been fed, so
+/// feeding a trace and skipping its offenders checks the trace with those
+/// events deleted.
+class ConsistencyChecker {
+public:
+  explicit ConsistencyChecker(ConsistencyMode Mode) : Mode(Mode) {}
+
+  /// Checks event \p Id of \p T against the events fed before it.
+  ConsistencyResult step(const Trace &T, EventId Id);
+  /// End of the sequence (Strict: no lock may still be held).
+  ConsistencyResult finish(const Trace &T) const;
+
+private:
+  struct ThreadState {
+    bool Started = false;
+    bool Ended = false;
+    bool Forked = false;
+  };
+  struct LockState {
+    bool Held = false;
+    ThreadId Holder = 0;
+  };
+
+  ConsistencyMode Mode;
+  std::unordered_map<ThreadId, ThreadState> Threads;
+  std::unordered_map<LockId, LockState> Locks;
+  std::unordered_map<VarId, Value> LastValue;
+  std::unordered_set<uint32_t> PendingWaits;
+  std::unordered_set<uint32_t> SeenNotify;
 };
 
 /// Checks a sequence of events given by ids \p Order into \p T. The

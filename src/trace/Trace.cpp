@@ -10,6 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cstddef>
 
 using namespace rvp;
 
@@ -100,9 +101,32 @@ void Trace::setInitialValue(VarId Var, Value V) {
 EventId Trace::append(const Event &E) {
   assert(E.Kind != EventKind::Wait &&
          "traces store wait() in lowered release/acquire form");
-  IsFinalized = false;
   Events.push_back(E);
   return static_cast<EventId>(Events.size() - 1);
+}
+
+Trace::NameMark Trace::nameMark() const {
+  return {numThreads(), numVars(), numLocks(),
+          static_cast<uint32_t>(LocNames.size())};
+}
+
+/// Forgets the names interned after the first \p Size.
+static void truncateNames(std::vector<std::string> &Names,
+                          std::unordered_map<std::string, uint32_t> &Map,
+                          uint32_t Size) {
+  while (Names.size() > Size) {
+    Map.erase(Names.back());
+    Names.pop_back();
+  }
+}
+
+void Trace::dropLast(const NameMark &Mark) {
+  assert(Events.size() > Indexed && "the event is already indexed");
+  Events.pop_back();
+  truncateNames(ThreadNames, ThreadMap, Mark.Threads);
+  truncateNames(VarNames, VarMap, Mark.Vars);
+  truncateNames(LockNames, LockMap, Mark.Locks);
+  truncateNames(LocNames, LocMap, Mark.Locs);
 }
 
 /// Extends \p Names with synthesized entries so ids up to \p Count are
@@ -113,11 +137,17 @@ static void padNames(std::vector<std::string> &Names, uint32_t Count,
     Names.push_back(formatString("%s%zu", Prefix, Names.size()));
 }
 
+/// The OpenPairs key of \p Lock held by \p Tid.
+static uint64_t openKey(LockId Lock, ThreadId Tid) {
+  return static_cast<uint64_t>(Lock) << 32 | Tid;
+}
+
 void Trace::finalize() {
   uint32_t MaxThread = numThreads();
   uint32_t MaxVar = numVars();
   uint32_t MaxLock = numLocks();
-  for (const Event &E : Events) {
+  for (EventId Id = Indexed; Id < Events.size(); ++Id) {
+    const Event &E = Events[Id];
     MaxThread = std::max(MaxThread, E.Tid + 1);
     if (E.Kind == EventKind::Fork || E.Kind == EventKind::Join)
       MaxThread = std::max(MaxThread, E.Target + 1);
@@ -130,19 +160,19 @@ void Trace::finalize() {
   padNames(VarNames, MaxVar, "v");
   padNames(LockNames, MaxLock, "l");
 
-  ByThread.assign(MaxThread, {});
-  ByVar.assign(MaxVar, {});
-  ByLock.assign(MaxLock, {});
-  ForkEvent.assign(MaxThread, InvalidEvent);
-  BeginEvent.assign(MaxThread, InvalidEvent);
-  EndEvent.assign(MaxThread, InvalidEvent);
-  JoinEvent.assign(MaxThread, InvalidEvent);
-  NotifyByMatch.clear();
+  ByThread.resize(MaxThread);
+  ByVar.resize(MaxVar);
+  ByLock.resize(MaxLock);
+  ForkEvent.resize(MaxThread, InvalidEvent);
+  BeginEvent.resize(MaxThread, InvalidEvent);
+  EndEvent.resize(MaxThread, InvalidEvent);
+  JoinEvent.resize(MaxThread, InvalidEvent);
 
-  // Pending (unmatched) acquire per lock per thread, for pair building.
-  std::vector<std::unordered_map<ThreadId, EventId>> Pending(MaxLock);
-
-  for (EventId Id = 0; Id < Events.size(); ++Id) {
+  // Every lock pair is appended when its first event (the acquire, or an
+  // unmatched release) is indexed, so each lock's pairs stay sorted by
+  // that position; an acquire still held is a half-open pair until its
+  // release fills it in.
+  for (EventId Id = Indexed; Id < Events.size(); ++Id) {
     const Event &E = Events[Id];
     ByThread[E.Tid].push_back(Id);
     switch (E.Kind) {
@@ -150,21 +180,32 @@ void Trace::finalize() {
     case EventKind::Write:
       ByVar[E.Target].push_back(Id);
       break;
-    case EventKind::Acquire:
-      Pending[E.Target][E.Tid] = Id;
-      break;
-    case EventKind::Release: {
-      auto &PerThread = Pending[E.Target];
-      auto It = PerThread.find(E.Tid);
-      LockPair Pair;
-      Pair.ReleaseId = Id;
-      Pair.Tid = E.Tid;
-      Pair.Lock = E.Target;
-      if (It != PerThread.end()) {
-        Pair.AcquireId = It->second;
-        PerThread.erase(It);
+    case EventKind::Acquire: {
+      std::vector<LockPair> &Pairs = ByLock[E.Target];
+      auto [It, Fresh] =
+          OpenPairs.try_emplace(openKey(E.Target, E.Tid), Pairs.size());
+      if (!Fresh) {
+        // A second acquire before the release supersedes the first,
+        // which then pairs with nothing.
+        size_t Stale = It->second;
+        Pairs.erase(Pairs.begin() + static_cast<std::ptrdiff_t>(Stale));
+        for (auto &[Key, Index] : OpenPairs)
+          if (Key >> 32 == E.Target && Index > Stale)
+            --Index;
+        It->second = Pairs.size();
       }
-      ByLock[E.Target].push_back(Pair);
+      Pairs.push_back({Id, InvalidEvent, E.Tid, E.Target});
+      break;
+    }
+    case EventKind::Release: {
+      std::vector<LockPair> &Pairs = ByLock[E.Target];
+      auto It = OpenPairs.find(openKey(E.Target, E.Tid));
+      if (It == OpenPairs.end()) {
+        Pairs.push_back({InvalidEvent, Id, E.Tid, E.Target});
+      } else {
+        Pairs[It->second].ReleaseId = Id;
+        OpenPairs.erase(It);
+      }
       break;
     }
     case EventKind::Fork:
@@ -189,32 +230,11 @@ void Trace::finalize() {
       RVP_UNREACHABLE("wait events are lowered before recording");
     }
   }
-
-  // Acquires still held at the end of the trace become half-open pairs.
-  for (LockId Lock = 0; Lock < MaxLock; ++Lock) {
-    for (const auto &[Tid, AcqId] : Pending[Lock]) {
-      LockPair Pair;
-      Pair.AcquireId = AcqId;
-      Pair.Tid = Tid;
-      Pair.Lock = Lock;
-      ByLock[Lock].push_back(Pair);
-    }
-    // Keep pairs sorted by acquire position for deterministic iteration.
-    std::sort(ByLock[Lock].begin(), ByLock[Lock].end(),
-              [](const LockPair &A, const LockPair &B) {
-                EventId KeyA =
-                    A.AcquireId != InvalidEvent ? A.AcquireId : A.ReleaseId;
-                EventId KeyB =
-                    B.AcquireId != InvalidEvent ? B.AcquireId : B.ReleaseId;
-                return KeyA < KeyB;
-              });
-  }
-
-  IsFinalized = true;
+  Indexed = static_cast<EventId>(Events.size());
 }
 
 EventId Trace::notifyOfMatch(uint32_t Aux) const {
-  assert(IsFinalized && "finalize() the trace first");
+  assert(Indexed == Events.size() && "finalize() the trace first");
   auto It = NotifyByMatch.find(Aux);
   return It == NotifyByMatch.end() ? InvalidEvent : It->second;
 }

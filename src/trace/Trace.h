@@ -60,7 +60,9 @@ struct TraceStats {
 /// An execution trace plus name tables and derived indices.
 ///
 /// Usage: append events (or use TraceBuilder / the runtime Recorder), then
-/// call finalize() once; the derived indices are only valid afterwards.
+/// call finalize(); the derived indices are only valid afterwards. A trace
+/// may keep growing: append more events and finalize() again, which
+/// indexes only the new ones.
 class Trace {
 public:
   Trace() = default;
@@ -90,6 +92,16 @@ public:
   /// until the next finalize().
   EventId append(const Event &E);
 
+  /// The sizes of the name tables: a point to roll interning back to.
+  struct NameMark {
+    uint32_t Threads = 0, Vars = 0, Locks = 0, Locs = 0;
+  };
+  NameMark nameMark() const;
+  /// Removes the last event, which finalize() must not have indexed yet,
+  /// and every name interned after \p Mark: the trace is as if that
+  /// event's line had never been read.
+  void dropLast(const NameMark &Mark);
+
   /// Sets the value variable \p Var holds before the first event
   /// (variables default to 0, as in the paper's "initially x = y = 0").
   void setInitialValue(VarId Var, Value V);
@@ -103,10 +115,9 @@ public:
   /// numVars(); missing entries are 0).
   const std::vector<Value> &initialValues() const { return InitValues; }
 
-  /// Builds the derived indices. Must be called after the last append().
+  /// Extends the derived indices over the events appended since the last
+  /// call. The result equals indexing the whole trace from scratch.
   void finalize();
-
-  bool finalized() const { return IsFinalized; }
 
   // -------------------------------------------------- access
   uint64_t size() const { return Events.size(); }
@@ -119,26 +130,26 @@ public:
 
   /// All event ids of thread \p Tid, in trace order.
   const std::vector<EventId> &threadEvents(ThreadId Tid) const {
-    assert(IsFinalized && "finalize() the trace first");
+    assert(Indexed == Events.size() && "finalize() the trace first");
     return ByThread[Tid];
   }
 
   /// All read/write event ids on variable \p Var, in trace order
   /// (volatile accesses included; callers filter as needed).
   const std::vector<EventId> &accessesOf(VarId Var) const {
-    assert(IsFinalized && "finalize() the trace first");
+    assert(Indexed == Events.size() && "finalize() the trace first");
     return ByVar[Var];
   }
 
   /// Matched acquire/release pairs, grouped per lock.
   const std::vector<LockPair> &lockPairsOf(LockId Lock) const {
-    assert(IsFinalized && "finalize() the trace first");
+    assert(Indexed == Events.size() && "finalize() the trace first");
     return ByLock[Lock];
   }
 
   /// Fork event of thread \p Tid (the event fork(_, Tid)), or InvalidEvent.
   EventId forkOf(ThreadId Tid) const {
-    assert(IsFinalized && "finalize() the trace first");
+    assert(Indexed == Events.size() && "finalize() the trace first");
     return ForkEvent[Tid];
   }
   /// Begin/End events of thread \p Tid, or InvalidEvent.
@@ -164,7 +175,6 @@ private:
 
   std::vector<Event> Events;
   std::vector<Value> InitValues;
-  bool IsFinalized = false;
 
   std::vector<std::string> ThreadNames, VarNames, LockNames, LocNames;
   std::unordered_map<std::string, uint32_t> ThreadMap, VarMap, LockMap,
@@ -176,6 +186,11 @@ private:
   std::vector<std::vector<LockPair>> ByLock;  // per lock
   std::vector<EventId> ForkEvent, BeginEvent, EndEvent, JoinEvent;
   std::unordered_map<uint32_t, EventId> NotifyByMatch;
+  /// Events the indices cover.
+  EventId Indexed = 0;
+  /// The ByLock entry of each acquire not yet released, keyed by lock and
+  /// thread: a pair still half-open.
+  std::unordered_map<uint64_t, size_t> OpenPairs;
 };
 
 } // namespace rvp

@@ -8,9 +8,6 @@
 
 #include "support/Compiler.h"
 #include "support/StringUtils.h"
-#include "trace/Consistency.h"
-
-#include <unordered_set>
 
 using namespace rvp;
 
@@ -57,201 +54,187 @@ std::string rvp::writeTraceText(const Trace &T) {
   return writeTraceText(T, T.fullSpan());
 }
 
-namespace {
+TraceParser::TraceParser(TraceParseOptions Options)
+    : Opts(std::move(Options)) {
+  if (Opts.SkipBadEvents)
+    Checker.emplace(ConsistencyMode::Fragment);
+}
 
-struct LineParser {
-  Trace T;
-  std::string Error;
-  const TraceParseOptions &Opts;
+bool TraceParser::feed(std::string_view Text) {
+  if (!Error.empty())
+    return false;
+  size_t Start = 0;
+  if (!Partial.empty()) {
+    size_t End = Text.find('\n');
+    if (End == std::string_view::npos) {
+      Partial.append(Text);
+      return true;
+    }
+    Partial.append(Text.substr(0, End));
+    bool Ok = parseLine(Partial);
+    Partial.clear();
+    if (!Ok)
+      return false;
+    Start = End + 1;
+  }
+  for (size_t End; (End = Text.find('\n', Start)) != std::string_view::npos;
+       Start = End + 1)
+    if (!parseLine(Text.substr(Start, End - Start)))
+      return false;
+  Partial.append(Text.substr(Start));
+  T.finalize();
+  return true;
+}
 
-  explicit LineParser(const TraceParseOptions &Opts) : Opts(Opts) {}
+bool TraceParser::finish() {
+  if (!Error.empty())
+    return false;
+  // The text need not end with a newline; an empty remainder is the
+  // blank line after the last one.
+  std::string Last;
+  Last.swap(Partial);
+  if (!parseLine(Last))
+    return false;
+  T.finalize();
+  return true;
+}
 
-  /// Builds the diagnostic: "file.txt:3:17: message (offending token
-  /// 'xyz')" with a file name, "line 3, col 17: ..." without one. The
-  /// column is the token's 1-based offset in the raw (untrimmed) line.
-  bool fail(size_t LineNo, size_t Col, const std::string &Msg,
-            std::string_view Token) {
+/// Parses one line; \p Raw is the untrimmed line, against which column
+/// numbers are computed. Validation is complete before any interning, so
+/// a line the grammar rejects leaves the trace untouched.
+bool TraceParser::parseLine(std::string_view Raw) {
+  ++LineNo;
+  std::string_view Line = trim(Raw);
+  if (Line.empty() || Line[0] == '#')
+    return true;
+  // A grammar error: skipped under SkipBadEvents, else the diagnostic
+  // "file.txt:3:17: message (offending token 'xyz')" with a file name,
+  // "line 3, col 17: ..." without one. The column is the token's 1-based
+  // offset in the raw line.
+  auto reject = [&](std::string_view Token, const std::string &Msg) {
+    if (Opts.SkipBadEvents) {
+      ++Skipped;
+      return true;
+    }
+    size_t Col = static_cast<size_t>(Token.data() - Raw.data()) + 1;
     Error = Opts.FileName.empty()
                 ? formatString("line %zu, col %zu: %s", LineNo, Col,
                                Msg.c_str())
                 : formatString("%s:%zu:%zu: %s", Opts.FileName.c_str(),
                                LineNo, Col, Msg.c_str());
-    if (!Token.empty())
-      Error += formatString(" (offending token '%.*s')",
-                            static_cast<int>(Token.size()), Token.data());
+    Error += formatString(" (offending token '%.*s')",
+                          static_cast<int>(Token.size()), Token.data());
     return false;
-  }
+  };
+  std::vector<std::string_view> Fields;
+  for (std::string_view Field : split(Line, ' '))
+    if (!Field.empty())
+      Fields.push_back(Field);
 
-  /// Parses one non-blank, non-comment line. \p Raw is the untrimmed line
-  /// (column numbers are computed against it); \p Line the trimmed view
-  /// into the same buffer. Validation is complete before any interning, so
-  /// a rejected line leaves the trace untouched (SkipBadEvents relies on
-  /// this: skipping a line equals deleting it from the input).
-  bool parseLine(size_t LineNo, std::string_view Raw,
-                 std::string_view Line) {
-    auto columnOf = [&](std::string_view Field) {
-      return static_cast<size_t>(Field.data() - Raw.data()) + 1;
-    };
-    std::vector<std::string_view> Fields;
-    for (std::string_view Field : split(Line, ' '))
-      if (!Field.empty())
-        Fields.push_back(Field);
-    if (Fields.empty())
-      return true;
-
-    // Trailing modifiers: @loc, volatile, match=N.
-    Event E;
-    std::string Loc;
-    size_t NumCore = Fields.size();
-    while (NumCore > 0) {
-      std::string_view Last = Fields[NumCore - 1];
-      if (Last == "volatile") {
-        E.Volatile = true;
-      } else if (startsWith(Last, "@")) {
-        Loc = std::string(Last.substr(1));
-      } else if (startsWith(Last, "match=")) {
-        int64_t Match = 0;
-        if (!parseInt(Last.substr(6), Match) || Match < 0)
-          return fail(LineNo, columnOf(Last), "malformed match id", Last);
-      } else {
-        break;
-      }
-      --NumCore;
-    }
-    if (NumCore < 2)
-      return fail(LineNo, columnOf(Fields[0]),
-                  "expected '<kind> <thread> ...'", Fields[0]);
-
-    std::string Kind(Fields[0]);
-    auto needFields = [&](size_t N) { return NumCore == N; };
-    int64_t Value = 0;
-
-    if (Kind == "read" || Kind == "write") {
-      if (!needFields(4))
-        return fail(LineNo, columnOf(Fields[0]),
-                    "expected '" + Kind + " <thread> <var> <value>'",
-                    Fields[0]);
-      E.Kind = Kind == "read" ? EventKind::Read : EventKind::Write;
-      if (!parseInt(Fields[3], Value))
-        return fail(LineNo, columnOf(Fields[3]), "malformed value",
-                    Fields[3]);
-      E.Data = Value;
-    } else if (Kind == "acquire" || Kind == "release" || Kind == "notify") {
-      if (!needFields(3))
-        return fail(LineNo, columnOf(Fields[0]),
-                    "expected '" + Kind + " <thread> <lock>'", Fields[0]);
-      E.Kind = Kind == "acquire"  ? EventKind::Acquire
-               : Kind == "release" ? EventKind::Release
-                                   : EventKind::Notify;
-    } else if (Kind == "fork" || Kind == "join") {
-      if (!needFields(3))
-        return fail(LineNo, columnOf(Fields[0]),
-                    "expected '" + Kind + " <thread> <child>'", Fields[0]);
-      E.Kind = Kind == "fork" ? EventKind::Fork : EventKind::Join;
-    } else if (Kind == "begin" || Kind == "end" || Kind == "branch") {
-      if (!needFields(2))
-        return fail(LineNo, columnOf(Fields[0]),
-                    "expected '" + Kind + " <thread>'", Fields[0]);
-      E.Kind = Kind == "begin" ? EventKind::Begin
-               : Kind == "end" ? EventKind::End
-                               : EventKind::Branch;
+  // Trailing modifiers: @loc, volatile, match=N.
+  Event E;
+  std::string Loc;
+  size_t NumCore = Fields.size();
+  while (NumCore > 0) {
+    std::string_view Last = Fields[NumCore - 1];
+    if (Last == "volatile") {
+      E.Volatile = true;
+    } else if (startsWith(Last, "@")) {
+      Loc = std::string(Last.substr(1));
+    } else if (startsWith(Last, "match=")) {
+      int64_t Match = 0;
+      if (!parseInt(Last.substr(6), Match) || Match < 0)
+        return reject(Last, "malformed match id");
     } else {
-      return fail(LineNo, columnOf(Fields[0]),
-                  "unknown event kind '" + Kind + "'", Fields[0]);
-    }
-
-    // The modifier loop already parsed match=N; re-derive Aux now that the
-    // line is known good.
-    for (size_t I = NumCore; I < Fields.size(); ++I)
-      if (startsWith(Fields[I], "match=")) {
-        int64_t Match = 0;
-        parseInt(Fields[I].substr(6), Match);
-        E.Aux = static_cast<uint32_t>(Match);
-      }
-
-    // Interning happens last, in the historical order (thread, location,
-    // target), so well-formed traces get byte-identical name tables.
-    E.Tid = T.internThread(std::string(Fields[1]));
-    E.Loc = Loc.empty() ? UnknownLoc : T.internLoc(Loc);
-    switch (E.Kind) {
-    case EventKind::Read:
-    case EventKind::Write:
-      E.Target = T.internVar(std::string(Fields[2]));
-      break;
-    case EventKind::Acquire:
-    case EventKind::Release:
-    case EventKind::Notify:
-      E.Target = T.internLock(std::string(Fields[2]));
-      break;
-    case EventKind::Fork:
-    case EventKind::Join:
-      E.Target = T.internThread(std::string(Fields[2]));
-      break;
-    default:
       break;
     }
-
-    T.append(E);
-    return true;
+    --NumCore;
   }
-};
+  if (NumCore < 2)
+    return reject(Fields[0], "expected '<kind> <thread> ...'");
 
-} // namespace
+  std::string Kind(Fields[0]);
+  auto needFields = [&](size_t N) { return NumCore == N; };
+  int64_t Value = 0;
 
-std::optional<Trace>
-rvp::parseTraceText(std::string_view Text, std::string &Error,
-                    const TraceParseOptions &Options,
-                    TraceParseStats *Stats) {
-  // Under SkipBadEvents the parse may run several passes: grammar-level
-  // skips happen inline, and each pass then validates the surviving
-  // events semantically (checkConsistency in Fragment mode — unmatched
-  // releases, reads of impossible values, double acquires). The first
-  // offending event's line joins DroppedLines and the text is reparsed
-  // without it, so the result is always exactly "the input with the bad
-  // lines deleted" — the same contract grammar skips have, now covering
-  // garbage that parses but cannot have happened (docs/ROBUSTNESS.md).
-  std::unordered_set<size_t> DroppedLines;
-  for (;;) {
-    LineParser P(Options);
-    std::vector<size_t> EventLines; // line that produced each event
-    size_t LineNo = 0;
-    uint64_t GrammarSkips = 0;
-    for (std::string_view Raw : split(Text, '\n')) {
-      ++LineNo;
-      std::string_view Line = trim(Raw);
-      if (Line.empty() || Line[0] == '#')
-        continue;
-      if (!DroppedLines.empty() && DroppedLines.count(LineNo))
-        continue;
-      uint64_t Before = P.T.size();
-      if (!P.parseLine(LineNo, Raw, Line)) {
-        if (Options.SkipBadEvents) {
-          ++GrammarSkips;
-          continue;
-        }
-        Error = P.Error;
-        return std::nullopt;
-      }
-      if (P.T.size() > Before)
-        EventLines.push_back(LineNo);
-    }
-    P.T.finalize();
-    if (Options.SkipBadEvents) {
-      ConsistencyResult C =
-          checkConsistency(P.T, ConsistencyMode::Fragment);
-      if (!C.Ok && C.Offender != InvalidEvent &&
-          C.Offender < EventLines.size()) {
-        DroppedLines.insert(EventLines[C.Offender]);
-        continue; // reparse without the offender
-      }
-    }
-    if (Stats)
-      Stats->SkippedEvents = GrammarSkips + DroppedLines.size();
-    return std::move(P.T);
+  if (Kind == "read" || Kind == "write") {
+    if (!needFields(4))
+      return reject(Fields[0],
+                    "expected '" + Kind + " <thread> <var> <value>'");
+    E.Kind = Kind == "read" ? EventKind::Read : EventKind::Write;
+    if (!parseInt(Fields[3], Value))
+      return reject(Fields[3], "malformed value");
+    E.Data = Value;
+  } else if (Kind == "acquire" || Kind == "release" || Kind == "notify") {
+    if (!needFields(3))
+      return reject(Fields[0], "expected '" + Kind + " <thread> <lock>'");
+    E.Kind = Kind == "acquire"  ? EventKind::Acquire
+             : Kind == "release" ? EventKind::Release
+                                 : EventKind::Notify;
+  } else if (Kind == "fork" || Kind == "join") {
+    if (!needFields(3))
+      return reject(Fields[0], "expected '" + Kind + " <thread> <child>'");
+    E.Kind = Kind == "fork" ? EventKind::Fork : EventKind::Join;
+  } else if (Kind == "begin" || Kind == "end" || Kind == "branch") {
+    if (!needFields(2))
+      return reject(Fields[0], "expected '" + Kind + " <thread>'");
+    E.Kind = Kind == "begin" ? EventKind::Begin
+             : Kind == "end" ? EventKind::End
+                             : EventKind::Branch;
+  } else {
+    return reject(Fields[0], "unknown event kind '" + Kind + "'");
   }
+
+  // The modifier loop already parsed match=N; re-derive Aux now that the
+  // line is known good.
+  for (size_t I = NumCore; I < Fields.size(); ++I)
+    if (startsWith(Fields[I], "match=")) {
+      int64_t Match = 0;
+      parseInt(Fields[I].substr(6), Match);
+      E.Aux = static_cast<uint32_t>(Match);
+    }
+
+  // Interning happens last, in the historical order (thread, location,
+  // target), so well-formed traces get byte-identical name tables.
+  Trace::NameMark Mark = T.nameMark();
+  E.Tid = T.internThread(std::string(Fields[1]));
+  E.Loc = Loc.empty() ? UnknownLoc : T.internLoc(Loc);
+  switch (E.Kind) {
+  case EventKind::Read:
+  case EventKind::Write:
+    E.Target = T.internVar(std::string(Fields[2]));
+    break;
+  case EventKind::Acquire:
+  case EventKind::Release:
+  case EventKind::Notify:
+    E.Target = T.internLock(std::string(Fields[2]));
+    break;
+  case EventKind::Fork:
+  case EventKind::Join:
+    E.Target = T.internThread(std::string(Fields[2]));
+    break;
+  default:
+    break;
+  }
+
+  EventId Id = T.append(E);
+  // Semantic skips (docs/ROBUSTNESS.md): garbage that parses but cannot
+  // have happened (an unmatched release, a read of a value never
+  // written, a double acquire) is dropped as if its line were deleted.
+  if (Checker && !Checker->step(T, Id).Ok) {
+    T.dropLast(Mark);
+    ++Skipped;
+  }
+  return true;
 }
 
 std::optional<Trace> rvp::parseTraceText(std::string_view Text,
-                                         std::string &Error) {
-  return parseTraceText(Text, Error, TraceParseOptions());
+                                         std::string &Error,
+                                         const TraceParseOptions &Options) {
+  TraceParser P(Options);
+  if (!P.feed(Text) || !P.finish()) {
+    Error = P.error();
+    return std::nullopt;
+  }
+  return P.take();
 }

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "smt/Arena.h"
 #include "smt/Formula.h"
 #include "support/MemStats.h"
 #include "support/Telemetry.h"
@@ -140,4 +141,18 @@ TEST(Formula, ArenaRelocationPreservesNodes) {
   EXPECT_EQ(FB.collectVars(Early), Vars);
   EXPECT_EQ(FB.node(Early).Kind, FormulaKind::And);
   EXPECT_EQ(FB.node(Early).numChildren(), 2u);
+}
+
+TEST(Formula, ArenaAppendsEmptyRangeToEmptyVector) {
+  // A childless node interned into a fresh builder appends the empty range
+  // of an empty std::vector, whose data() may be null, to an arena vector
+  // that has no storage yet.
+  BumpArena Arena;
+  ArenaVector<uint32_t> V(Arena);
+  V.append(nullptr, nullptr);
+  EXPECT_TRUE(V.empty());
+  EXPECT_EQ(V.data(), nullptr);
+  FormulaBuilder FB;
+  NodeRef Atom = FB.mkAtom(1, 2);
+  EXPECT_EQ(FB.node(Atom).numChildren(), 0u);
 }

@@ -19,6 +19,7 @@
 #include "detect/Checkpoint.h"
 #include "detect/Deadlock.h"
 #include "detect/Detect.h"
+#include "detect/WindowDriver.h"
 #include "support/FaultInjector.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceIO.h"
@@ -406,11 +407,30 @@ DetectorOptions checkpointOptions(const Trace &T, const std::string &Dir) {
   return Options;
 }
 
-/// The same options, stopping after the first window: the snapshot it
-/// leaves behind is the mid-run state a resumed run must continue from.
-DetectorOptions firstWindowOnly(DetectorOptions Options) {
-  Options.MaxWindows = 1;
-  return Options;
+/// Pushes only the first window of \p Policy's trace and saves the snapshot
+/// a --checkpoint run leaves after it: the mid-run state a resumed run must
+/// continue from.
+void checkpointFirstWindow(WindowPolicy &Policy) {
+  WindowDriver Driver(Policy);
+  Driver.push(splitWindows(Policy.T, Policy.Options.WindowSize).front());
+  Driver.finish();
+  CheckpointStore(Policy.Options.CheckpointDir,
+                  Policy.Options.CheckpointFingerprint)
+      .save(0, Driver.serialize());
+}
+
+/// Pushes every window of the trace through \p Driver, then finishes.
+void pushAll(WindowDriver &Driver, const WindowPolicy &Policy) {
+  for (Span Window : splitWindows(Policy.T, Policy.Options.WindowSize))
+    Driver.push(Window);
+  Driver.finish();
+}
+
+/// The checkpoint payload of an uninterrupted run of \p Policy.
+std::string finalPayload(WindowPolicy &Policy) {
+  WindowDriver Driver(Policy);
+  pushAll(Driver, Policy);
+  return Driver.serialize();
 }
 
 } // namespace
@@ -423,11 +443,12 @@ TEST(CheckpointResume, RaceDriverResumesToIdenticalResult) {
 
   std::string Dir = freshDir("rvp_resume_race");
   DetectorOptions Options = checkpointOptions(T, Dir);
-  DetectionResult First =
-      detectRaces(T, Technique::Maximal, firstWindowOnly(Options));
-  ASSERT_EQ(First.Stats.Windows, 1u);
-  ASSERT_GT(First.raceCount(), 0u);
-  ASSERT_LT(First.raceCount(), Fresh.raceCount());
+  std::unique_ptr<WindowPolicy> First =
+      makeRacePolicy(T, Technique::Maximal, Options);
+  checkpointFirstWindow(*First);
+  ASSERT_EQ(First->State.Stats.Windows, 1u);
+  ASSERT_GT(First->numFindings(), 0u);
+  ASSERT_LT(First->numFindings(), Fresh.raceCount());
 
   // Second run restores the first window's snapshot and finishes the
   // trace: the same work and report as an uninterrupted run.
@@ -449,11 +470,11 @@ TEST(CheckpointResume, AtomicityDriverResumesToIdenticalResult) {
 
   std::string Dir = freshDir("rvp_resume_atom");
   DetectorOptions Options = checkpointOptions(T, Dir);
-  AtomicityResult First =
-      detectAtomicityViolations(T, firstWindowOnly(Options));
-  ASSERT_EQ(First.Stats.Windows, 1u);
-  ASSERT_GT(First.Violations.size(), 0u);
-  ASSERT_LT(First.Violations.size(), Fresh.Violations.size());
+  std::unique_ptr<WindowPolicy> First = makeAtomicityPolicy(T, Options);
+  checkpointFirstWindow(*First);
+  ASSERT_EQ(First->State.Stats.Windows, 1u);
+  ASSERT_GT(First->numFindings(), 0u);
+  ASSERT_LT(First->numFindings(), Fresh.Violations.size());
   AtomicityResult Resumed = detectAtomicityViolations(T, Options);
   EXPECT_EQ(Resumed.Stats.Windows, Fresh.Stats.Windows);
   EXPECT_EQ(Resumed.Stats.SolverCalls, Fresh.Stats.SolverCalls);
@@ -475,10 +496,11 @@ TEST(CheckpointResume, DeadlockDriverResumesToIdenticalResult) {
 
   std::string Dir = freshDir("rvp_resume_dl");
   DetectorOptions Options = checkpointOptions(T, Dir);
-  DeadlockResult First = detectDeadlocks(T, firstWindowOnly(Options));
-  ASSERT_EQ(First.Stats.Windows, 1u);
-  ASSERT_GT(First.Deadlocks.size(), 0u);
-  ASSERT_LT(First.Deadlocks.size(), Fresh.Deadlocks.size());
+  std::unique_ptr<WindowPolicy> First = makeDeadlockPolicy(T, Options);
+  checkpointFirstWindow(*First);
+  ASSERT_EQ(First->State.Stats.Windows, 1u);
+  ASSERT_GT(First->numFindings(), 0u);
+  ASSERT_LT(First->numFindings(), Fresh.Deadlocks.size());
   DeadlockResult Resumed = detectDeadlocks(T, Options);
   EXPECT_EQ(Resumed.Stats.Windows, Fresh.Stats.Windows);
   EXPECT_EQ(Resumed.Stats.SolverCalls, Fresh.Stats.SolverCalls);
@@ -497,15 +519,13 @@ TEST(CheckpointResume, ForeignPropertyPayloadIsRefused) {
   // state must refuse it and analyze the trace from scratch.
   Trace T = resumableWorkload();
   DetectorOptions Options = checkpointOptions(T, "");
-  std::string Race, Atom, Dl;
-  auto saving = [&](std::string &Payload) {
-    DetectorOptions O = Options;
-    O.SaveState = &Payload;
-    return O;
-  };
-  DetectionResult FreshRace = detectRaces(T, Technique::Maximal, saving(Race));
-  AtomicityResult FreshAtom = detectAtomicityViolations(T, saving(Atom));
-  DeadlockResult FreshDl = detectDeadlocks(T, saving(Dl));
+  std::string Race =
+      finalPayload(*makeRacePolicy(T, Technique::Maximal, Options));
+  std::string Atom = finalPayload(*makeAtomicityPolicy(T, Options));
+  std::string Dl = finalPayload(*makeDeadlockPolicy(T, Options));
+  DetectionResult FreshRace = detectRaces(T, Technique::Maximal, Options);
+  AtomicityResult FreshAtom = detectAtomicityViolations(T, Options);
+  DeadlockResult FreshDl = detectDeadlocks(T, Options);
   // Every payload carries a finding line, so refusal is also checked
   // with the property line forged: the finding tags alone must differ.
   ASSERT_FALSE(FreshRace.Races.empty());
@@ -515,38 +535,40 @@ TEST(CheckpointResume, ForeignPropertyPayloadIsRefused) {
     size_t End = Payload.find('\n');
     return "property " + Property + Payload.substr(End);
   };
+  // Witness schedules are part of the rendered finding lines.
+  ReportRenderOptions Render;
+  Render.WitnessEvents = true;
 
   for (const std::string &Foreign :
        {Atom, Dl, forged(Atom, "race"), forged(Dl, "race")}) {
-    DetectorOptions O = Options;
-    O.ResumeState = &Foreign;
-    std::string Saved;
-    O.SaveState = &Saved;
-    DetectionResult R = detectRaces(T, Technique::Maximal, O);
-    EXPECT_EQ(Saved, Race);
-    ASSERT_EQ(R.Races.size(), FreshRace.Races.size());
-    for (size_t I = 0; I < R.Races.size(); ++I)
-      EXPECT_EQ(R.Races[I].Witness, FreshRace.Races[I].Witness);
+    std::unique_ptr<WindowPolicy> P =
+        makeRacePolicy(T, Technique::Maximal, Options);
+    WindowDriver Driver(*P);
+    EXPECT_FALSE(Driver.restore(Foreign));
+    pushAll(Driver, *P);
+    EXPECT_EQ(Driver.serialize(), Race);
+    ASSERT_EQ(P->numFindings(), FreshRace.Races.size());
+    for (size_t I = 0; I < P->numFindings(); ++I)
+      EXPECT_EQ(P->renderFinding(I, Render),
+                renderRaceLine(T, FreshRace.Races[I], Render));
   }
   for (const std::string &Foreign :
        {Race, Dl, forged(Race, "atomicity"), forged(Dl, "atomicity")}) {
-    DetectorOptions O = Options;
-    O.ResumeState = &Foreign;
-    std::string Saved;
-    O.SaveState = &Saved;
-    AtomicityResult R = detectAtomicityViolations(T, O);
-    EXPECT_EQ(Saved, Atom);
-    EXPECT_EQ(R.Violations.size(), FreshAtom.Violations.size());
+    std::unique_ptr<WindowPolicy> P = makeAtomicityPolicy(T, Options);
+    WindowDriver Driver(*P);
+    EXPECT_FALSE(Driver.restore(Foreign));
+    pushAll(Driver, *P);
+    EXPECT_EQ(Driver.serialize(), Atom);
+    EXPECT_EQ(P->numFindings(), FreshAtom.Violations.size());
   }
   for (const std::string &Foreign :
        {Race, Atom, forged(Race, "deadlock"), forged(Atom, "deadlock")}) {
-    DetectorOptions O = Options;
-    O.ResumeState = &Foreign;
-    std::string Saved;
-    O.SaveState = &Saved;
-    DeadlockResult R = detectDeadlocks(T, O);
-    EXPECT_EQ(Saved, Dl);
-    EXPECT_EQ(R.Deadlocks.size(), FreshDl.Deadlocks.size());
+    std::unique_ptr<WindowPolicy> P = makeDeadlockPolicy(T, Options);
+    WindowDriver Driver(*P);
+    EXPECT_FALSE(Driver.restore(Foreign));
+    pushAll(Driver, *P);
+    EXPECT_EQ(Driver.serialize(), Dl);
+    EXPECT_EQ(P->numFindings(), FreshDl.Deadlocks.size());
   }
 }
 

@@ -13,14 +13,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "detect/Checkpoint.h"
 #include "detect/Stream.h"
+#include "detect/WindowDriver.h"
 #include "server/Framing.h"
 #include "support/FaultInjector.h"
 #include "trace/TraceIO.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <regex>
+#include <sstream>
 
 using namespace rvp;
 
@@ -312,12 +317,12 @@ TEST(StreamDetector, SkipBadEventsCoversSemanticRejects) {
                      "release t1 m @a3\n";
   TraceParseOptions Parse;
   Parse.SkipBadEvents = true;
-  TraceParseStats Stats;
-  std::string Error;
-  auto T = parseTraceText(Text, Error, Parse, &Stats);
-  ASSERT_TRUE(T.has_value()) << Error;
-  EXPECT_EQ(Stats.SkippedEvents, 2u);
+  TraceParser P(Parse);
+  ASSERT_TRUE(P.feed(Text) && P.finish()) << P.error();
+  EXPECT_EQ(P.skippedEvents(), 2u);
+  std::optional<Trace> T = P.take();
   EXPECT_EQ(T->size(), 4u);
+  std::string Error;
   // The sanitized parse equals parsing the pre-cleaned text directly.
   std::string Cleaned = "write t1 x 1 @a1\n"
                         "acquire t1 m @a2\n"
@@ -356,6 +361,109 @@ TEST(StreamDetector, RestoreSuspendsUntilPrefixCoversWindows) {
   std::string Summary;
   ASSERT_TRUE(Resumed.finish(Summary, Error)) << Error;
   EXPECT_EQ(normalizeTiming(Summary), normalizeTiming(Expected));
+}
+
+TEST(StreamDetector, SkipBadEventsMatchesBatchForEveryChunkSize) {
+  // Streamed --skip-bad-events: each event is checked as its line
+  // arrives, and a rejected one is dropped with the names its line
+  // interned, so the streamed trace, summary, and skip count equal the
+  // batch parse's at any chunk size.
+  auto readGolden = [](const char *Name) {
+    std::ifstream In(std::string(RVP_TEST_GOLDEN_DIR) + "/" + Name);
+    std::stringstream Text;
+    Text << In.rdbuf();
+    return Text.str();
+  };
+  // The first read interns t3, q, and c1 before the checker rejects it
+  // (q was never written); the later lines intern them afresh.
+  std::string NewNames = "write t1 x 1 @a1\n"
+                         "read t3 q 5 @c1\n"
+                         "write t4 q 1 @c2\n"
+                         "write t3 x 2 @c3\n"
+                         "bogus t5\n"
+                         "read t1 q 1 @a2";
+  StreamOptions Opts = smallWindowOptions(2);
+  Opts.Parse.SkipBadEvents = true;
+  for (const std::string &Text :
+       {readGolden("corrupt_kind.txt"), readGolden("inconsistent.txt"),
+        NewNames}) {
+    TraceParser Batch(Opts.Parse);
+    ASSERT_TRUE(Batch.feed(Text) && Batch.finish()) << Batch.error();
+    ASSERT_GT(Batch.skippedEvents(), 0u);
+    const Trace *T = &Batch.trace();
+    std::string Report = normalizeTiming(batchRaceReport(Text, Opts));
+    for (size_t Chunk : {1u, 7u, 64u}) {
+      StreamDetector Det(Opts);
+      EXPECT_EQ(normalizeTiming(streamAll(Det, Text, Chunk)), Report)
+          << "chunk size " << Chunk;
+      EXPECT_EQ(Det.run().Parser.skippedEvents(), Batch.skippedEvents())
+          << "chunk size " << Chunk;
+      EXPECT_EQ(writeTraceText(Det.run().Parser.trace()), writeTraceText(*T))
+          << "chunk size " << Chunk;
+      EXPECT_EQ(Det.run().Parser.trace().numThreads(), T->numThreads());
+      EXPECT_EQ(Det.run().Parser.trace().numVars(), T->numVars());
+    }
+  }
+}
+
+TEST(StreamDetector, CarriedValuesReachEveryResumePath) {
+  // Window 1's race on y is feasible only if t2's read of x returns 1, and
+  // x = 1 was written in window 0: the running values carried into window
+  // 1 decide it. Batch, a --checkpoint resume, a chunked stream, and a
+  // stream recovered from its state must all carry them.
+  const std::string Text = "write t1 x 1 @w0\n"
+                           "write t1 z 0 @f1\n"
+                           "write t1 z 0 @f2\n"
+                           "write t1 z 0 @f3\n"
+                           "read t2 x 1 @r\n"
+                           "branch t2 @br\n"
+                           "write t2 y 1 @a\n"
+                           "write t3 y 2 @b\n"
+                           "write t1 z 0 @f4\n";
+  StreamOptions Opts = smallWindowOptions(4);
+  Opts.Render.WitnessEvents = true; // witnesses are compared too
+  std::string Error;
+  std::optional<Trace> T = parseTraceText(Text, Error, Opts.Parse);
+  ASSERT_TRUE(T.has_value()) << Error;
+
+  DetectionResult Batch = detectRaces(*T, Opts.Tech, Opts.Detect);
+  ASSERT_EQ(Batch.raceCount(), 1u);
+  EXPECT_EQ(Batch.Races[0].Variable, "y");
+  EXPECT_TRUE(Batch.Races[0].WitnessValid);
+  const std::string Expected =
+      normalizeTiming(renderRaceReport(*T, Opts.Tech, Batch, Opts.Render));
+
+  // --checkpoint: a run that stopped after window 0, resumed.
+  std::string Dir = ::testing::TempDir() + "rvp_carried_values";
+  std::filesystem::remove_all(Dir);
+  DetectorOptions Ckpt = Opts.Detect;
+  Ckpt.CheckpointDir = Dir;
+  Ckpt.CheckpointFingerprint = checkpointHash(Text);
+  {
+    std::unique_ptr<WindowPolicy> P = makeRacePolicy(*T, Opts.Tech, Ckpt);
+    WindowDriver Driver(*P);
+    Driver.push({0, 4});
+    CheckpointStore(Dir, Ckpt.CheckpointFingerprint)
+        .save(0, Driver.serialize());
+  }
+  DetectionResult Resumed = detectRaces(*T, Opts.Tech, Ckpt);
+  EXPECT_EQ(Resumed.Stats.Windows, Batch.Stats.Windows);
+  EXPECT_EQ(normalizeTiming(
+                renderRaceReport(*T, Opts.Tech, Resumed, Opts.Render)),
+            Expected);
+
+  // A stream fed in small chunks.
+  StreamDetector Chunked(Opts);
+  EXPECT_EQ(normalizeTiming(streamAll(Chunked, Text, 3)), Expected);
+
+  // A stream recovered from the state saved after window 0.
+  StreamDetector First(Opts);
+  First.feed(Text);
+  StreamStep Step;
+  ASSERT_TRUE(First.step(Step, false, Error)) << Error;
+  StreamDetector Recovered(Opts);
+  Recovered.restore(First.state(), 1);
+  EXPECT_EQ(normalizeTiming(streamAll(Recovered, Text, 64)), Expected);
 }
 
 TEST(StreamDetector, ParseStreamPropertyNames) {

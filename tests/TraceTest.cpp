@@ -4,11 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "runtime/Interpreter.h"
 #include "trace/Trace.h"
 #include "trace/TraceBuilder.h"
 #include "trace/Window.h"
+#include "workloads/Fuzzer.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
+#include <unordered_map>
 
 using namespace rvp;
 
@@ -193,4 +199,138 @@ TEST(Event, ToStringForms) {
   EXPECT_EQ(toString(T[1]), "acquire(t0, l0)");
   EXPECT_EQ(toString(T[2]), "branch(t0)");
   EXPECT_EQ(toString(T[3]), "fork(t0, t1)");
+}
+
+namespace {
+
+/// An empty trace with \p Src's thread, variable, and lock names.
+Trace withNamesOf(const Trace &Src) {
+  Trace T;
+  for (ThreadId I = 0; I < Src.numThreads(); ++I)
+    T.internThread(Src.threadName(I));
+  for (VarId I = 0; I < Src.numVars(); ++I)
+    T.internVar(Src.varName(I));
+  for (LockId I = 0; I < Src.numLocks(); ++I)
+    T.internLock(Src.lockName(I));
+  return T;
+}
+
+/// \p Lock's pairs over the first \p N events of \p Src, built the way a
+/// one-pass index over that prefix builds them: each release closes its
+/// thread's pending acquire (a later acquire replaces a pending one), the
+/// acquires still pending are half-open, and pairs sort by first event.
+std::vector<LockPair> referencePairs(const Trace &Src, EventId N,
+                                     LockId Lock) {
+  std::vector<LockPair> Pairs;
+  std::unordered_map<ThreadId, EventId> Pending;
+  for (EventId Id = 0; Id < N; ++Id) {
+    const Event &E = Src[Id];
+    if (E.Target != Lock)
+      continue;
+    if (E.isAcquire()) {
+      Pending[E.Tid] = Id;
+    } else if (E.isRelease()) {
+      LockPair P{InvalidEvent, Id, E.Tid, Lock};
+      auto It = Pending.find(E.Tid);
+      if (It != Pending.end()) {
+        P.AcquireId = It->second;
+        Pending.erase(It);
+      }
+      Pairs.push_back(P);
+    }
+  }
+  for (const auto &[Tid, Acq] : Pending)
+    Pairs.push_back({Acq, InvalidEvent, Tid, Lock});
+  auto Key = [](const LockPair &P) {
+    return P.AcquireId != InvalidEvent ? P.AcquireId : P.ReleaseId;
+  };
+  std::sort(Pairs.begin(), Pairs.end(),
+            [&](const LockPair &A, const LockPair &B) {
+              return Key(A) < Key(B);
+            });
+  return Pairs;
+}
+
+} // namespace
+
+TEST(Trace, IncrementalFinalizeEqualsFromScratch) {
+  // A streamed trace is finalized after every chunk. Whatever the chunk
+  // boundaries, every index must equal finalizing the same prefix at
+  // once, including lock pairs left half-open until a later release.
+  std::vector<Trace> Sources;
+  for (uint64_t Seed = 1; Seed <= 25; ++Seed) {
+    Trace Src;
+    RunResult Run;
+    std::string Error;
+    RandomScheduler Sched(Seed * 31 + 1);
+    RunLimits Limits;
+    Limits.MaxEvents = 2000;
+    if (recordTrace(fuzzProgram(Seed), Src, Run, Error, &Sched, Limits))
+      Sources.push_back(std::move(Src));
+  }
+  // Plus a re-acquire before the release (the later acquire pairs), and
+  // a release no acquire in view opened.
+  Trace Hand;
+  for (auto [Kind, Tid] :
+       {std::pair{EventKind::Acquire, 0u}, {EventKind::Release, 1u},
+        {EventKind::Acquire, 0u}, {EventKind::Acquire, 1u},
+        {EventKind::Release, 0u}, {EventKind::Release, 1u},
+        {EventKind::Acquire, 0u}}) {
+    Event E;
+    E.Kind = Kind;
+    E.Tid = Tid;
+    Hand.append(E);
+  }
+  Hand.finalize();
+  Sources.push_back(std::move(Hand));
+
+  uint64_t HalfOpenSeen = 0, PrefixesChecked = 0;
+  for (uint64_t Seed = 0; Seed < Sources.size(); ++Seed) {
+    const Trace &Src = Sources[Seed];
+    std::mt19937_64 Rng(Seed);
+    Trace Grown = withNamesOf(Src);
+    for (EventId Next = 0; Next < Src.size();) {
+      for (uint64_t Slice = 1 + Rng() % 6; Slice > 0 && Next < Src.size();
+           --Slice)
+        Grown.append(Src[Next++]);
+      Grown.finalize();
+      Trace Scratch = withNamesOf(Src);
+      for (EventId Id = 0; Id < Next; ++Id)
+        Scratch.append(Src[Id]);
+      Scratch.finalize();
+      ++PrefixesChecked;
+
+      ASSERT_EQ(Grown.numThreads(), Scratch.numThreads());
+      for (ThreadId Tid = 0; Tid < Scratch.numThreads(); ++Tid) {
+        EXPECT_EQ(Grown.threadEvents(Tid), Scratch.threadEvents(Tid));
+        EXPECT_EQ(Grown.forkOf(Tid), Scratch.forkOf(Tid));
+        EXPECT_EQ(Grown.joinOf(Tid), Scratch.joinOf(Tid));
+        EXPECT_EQ(Grown.beginOf(Tid), Scratch.beginOf(Tid));
+        EXPECT_EQ(Grown.endOf(Tid), Scratch.endOf(Tid));
+      }
+      for (VarId Var = 0; Var < Scratch.numVars(); ++Var)
+        EXPECT_EQ(Grown.accessesOf(Var), Scratch.accessesOf(Var));
+      for (LockId Lock = 0; Lock < Scratch.numLocks(); ++Lock) {
+        std::vector<LockPair> Want = referencePairs(Src, Next, Lock);
+        for (const Trace *T : {&Grown, &Scratch}) {
+          const std::vector<LockPair> &Got = T->lockPairsOf(Lock);
+          ASSERT_EQ(Got.size(), Want.size()) << "seed " << Seed;
+          for (size_t I = 0; I < Want.size(); ++I) {
+            EXPECT_EQ(Got[I].AcquireId, Want[I].AcquireId);
+            EXPECT_EQ(Got[I].ReleaseId, Want[I].ReleaseId);
+            EXPECT_EQ(Got[I].Tid, Want[I].Tid);
+            EXPECT_EQ(Got[I].Lock, Want[I].Lock);
+          }
+        }
+        for (const LockPair &P : Want)
+          HalfOpenSeen += P.ReleaseId == InvalidEvent;
+      }
+      for (EventId Id = 0; Id < Next; ++Id)
+        if (Src[Id].Aux != 0)
+          EXPECT_EQ(Grown.notifyOfMatch(Src[Id].Aux),
+                    Scratch.notifyOfMatch(Src[Id].Aux));
+    }
+  }
+  EXPECT_GT(PrefixesChecked, 100u);
+  EXPECT_GT(HalfOpenSeen, 0u) << "no prefix cut a critical section";
 }

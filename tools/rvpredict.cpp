@@ -32,12 +32,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/StaticPrune.h"
-#include "detect/Atomicity.h"
 #include "detect/Checkpoint.h"
-#include "detect/Deadlock.h"
-#include "detect/Detect.h"
-#include "detect/Report.h"
 #include "detect/Resilience.h"
+#include "detect/WindowDriver.h"
 #include "lang/Parser.h"
 #include "runtime/Interpreter.h"
 #include "support/CommandLine.h"
@@ -138,28 +135,23 @@ bool loadTrace(const std::string &Path, const OptionParser &Options,
       std::fprintf(stderr, "warning: the recorded execution deadlocked\n");
     return true;
   }
-  std::string Error;
   TraceParseOptions ParseOpts;
   ParseOpts.FileName = Path;
   ParseOpts.SkipBadEvents = Options.getBool("skip-bad-events");
-  TraceParseStats ParseStats;
-  auto Parsed = parseTraceText(Content, Error, ParseOpts, &ParseStats);
-  if (!Parsed) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
+  TraceParser Parser(ParseOpts);
+  if (!Parser.feed(Content) || !Parser.finish()) {
+    std::fprintf(stderr, "error: %s\n", Parser.error().c_str());
     return false;
   }
-  if (ParseStats.SkippedEvents) {
+  if (uint64_t Skipped = Parser.skippedEvents()) {
     std::fprintf(stderr,
                  "note: skipped %llu malformed or inconsistent event "
                  "line(s) in '%s'\n",
-                 static_cast<unsigned long long>(ParseStats.SkippedEvents),
-                 Path.c_str());
+                 static_cast<unsigned long long>(Skipped), Path.c_str());
     if (Telemetry::enabled())
-      MetricsRegistry::global()
-          .counter("trace.skipped_events")
-          .add(ParseStats.SkippedEvents);
+      MetricsRegistry::global().counter("trace.skipped_events").add(Skipped);
   }
-  T = std::move(*Parsed);
+  T = Parser.take();
   return true;
 }
 
@@ -408,77 +400,55 @@ int cmdDetect(const OptionParser &Options) {
     }
   }
 
-  // Both renderings draw from the same DetectionStats + telemetry snapshot;
-  // returns false only on stats-json write failure.
-  auto emitStats = [&](const DetectionStats &Stats, const char *What) {
-    if (Options.getBool("stats"))
-      std::fputs(renderStatsTable(Stats, What).c_str(), stdout);
-    if (StatsJsonPath.empty())
-      return true;
-    return writeJsonOutput(StatsJsonPath, statsToJson(Stats, What));
-  };
-
-  // Detaches the collector and writes the Chrome/Perfetto trace. Called
-  // after emitStats on every analysis path so the profile spans the whole
-  // run; returns false on write failure (an internal error — the analysis
-  // itself succeeded).
-  auto finishProfile = [&]() {
-    if (ProfilePath.empty())
-      return true;
-    ProfileCollector::setActive(nullptr);
-    std::string Error;
-    if (!Profiler.writeFile(ProfilePath, Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return false;
-    }
-    return true;
-  };
-
-  // Exit code: findings → 1; a degraded run that left candidates
-  // undecided → 3 (the report may be incomplete); clean and empty → 0.
-  auto exitCode = [](size_t Findings, size_t Unknowns) {
-    if (Unknowns)
-      return static_cast<int>(ExitInternal);
-    return static_cast<int>(Findings ? ExitFindings : ExitSuccess);
-  };
-
-  if (Options.getString("property", "race") == "deadlock") {
-    DeadlockResult R = detectDeadlocks(T, Detect);
-    std::fputs(renderDeadlockReport(T, R).c_str(), stdout);
-    if (!emitStats(R.Stats, "deadlock") || !finishProfile())
-      return ExitInternal;
-    return exitCode(R.Deadlocks.size(), R.Unknowns.size());
-  }
-
-  if (Options.getString("property", "race") == "atomicity") {
-    AtomicityResult R = detectAtomicityViolations(T, Detect);
-    std::fputs(renderAtomicityReport(R).c_str(), stdout);
-    if (!emitStats(R.Stats, "atomicity") || !finishProfile())
-      return ExitInternal;
-    return exitCode(R.Violations.size(), R.Unknowns.size());
-  }
-
-  DetectionResult R = detectRaces(T, Tech, Detect);
+  std::unique_ptr<WindowPolicy> Policy =
+      PropertyName == "deadlock"    ? makeDeadlockPolicy(T, Detect)
+      : PropertyName == "atomicity" ? makeAtomicityPolicy(T, Detect)
+                                    : makeRacePolicy(T, Tech, Detect);
+  runWindows(*Policy);
   ReportRenderOptions Render;
   Render.VcTier = Detect.Tier == DetectTier::Vc;
   Render.WitnessTag = Tech == Technique::Maximal && Detect.CollectWitnesses;
   Render.WitnessEvents = Options.getBool("witness");
-  std::fputs(renderRaceReport(T, Tech, R, Render).c_str(), stdout);
-  if (!emitStats(R.Stats, techniqueName(Tech)) || !finishProfile())
+  std::fputs(Policy->renderReport(Render).c_str(), stdout);
+
+  // Both stats renderings draw from the same DetectionStats + telemetry
+  // snapshot; a stats-json write failure is an internal error.
+  const DetectionStats &Stats = Policy->State.Stats;
+  const char *What =
+      PropertyName == "race" ? techniqueName(Tech) : PropertyName.c_str();
+  if (Options.getBool("stats"))
+    std::fputs(renderStatsTable(Stats, What).c_str(), stdout);
+  if (!StatsJsonPath.empty() &&
+      !writeJsonOutput(StatsJsonPath, statsToJson(Stats, What)))
     return ExitInternal;
+  // Detach the collector and write the Chrome/Perfetto trace after the
+  // stats so the profile spans the whole run; a write failure is an
+  // internal error (the analysis itself succeeded).
+  if (!ProfilePath.empty()) {
+    ProfileCollector::setActive(nullptr);
+    std::string Error;
+    if (!Profiler.writeFile(ProfilePath, Error)) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
+      return ExitInternal;
+    }
+  }
   // A mismatch means the WCP tier called a pair racy that the solver
   // refuted — exactly the weak-soundness gap docs/TIERS.md describes. The
   // report above is still the solver's (check-tiers solves every COP), but
   // the run fails loudly so catalogs can gate on tier agreement.
-  if (R.Stats.WcpMismatches) {
+  if (Stats.WcpMismatches) {
     std::fprintf(stderr,
                  "error: --check-tiers found %llu WCP-racy pair(s) the "
                  "solver refutes; the vc tier would over-report on this "
                  "trace (see docs/TIERS.md)\n",
-                 static_cast<unsigned long long>(R.Stats.WcpMismatches));
+                 static_cast<unsigned long long>(Stats.WcpMismatches));
     return ExitUsage;
   }
-  return exitCode(R.raceCount(), R.Unknowns.size());
+  // Exit code: a degraded run that left candidates undecided → 3 (the
+  // report may be incomplete); findings → 1; clean and empty → 0.
+  if (!Policy->State.Unknowns.empty())
+    return ExitInternal;
+  return Policy->numFindings() ? ExitFindings : ExitSuccess;
 }
 
 int cmdReplay(const OptionParser &Options) {
